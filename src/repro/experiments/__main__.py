@@ -1,7 +1,7 @@
 """Command-line entry point: ``python -m repro.experiments``.
 
 Runs the requested experiments (default: the full registry, ablations
-included) at the chosen scale, serially or fanned out across supervised
+included) at the chosen scale, serially or fanned out across forked
 worker processes, and prints the reproduced tables next to the paper's
 reference values.  ``--jobs N`` output is byte-identical to a serial run:
 cells are independent seeded simulations and merge in declaration order.
@@ -29,11 +29,12 @@ Conventions:
   to an uninterrupted run); ``--retry-failed`` also re-dispatches
   terminally failed cells;
 * ``--timeout`` / ``--max-retries`` supervise cells: a hung or crashed
-  cell is killed, retried with backoff on a fresh worker, and fully
+  cell is killed, retried with backoff in a fresh child, and fully
   journaled instead of aborting the grid;
 * experiments that declare shared-warmup structure simulate each warmup
   prefix **once** per group and fork their cells from the live warmed-up
-  process (serial runs only; disable with ``--no-warm-start`` — output is
+  process, under any ``--jobs`` and ``--timeout`` (not when observed or
+  checkpointed; disable with ``--no-warm-start`` — output is
   byte-identical either way);
 * ``--checkpoint-interval N`` journals a simulation-state digest every N
   dispatched events per cell; ``--resume`` then replays interrupted cells
@@ -164,7 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="per-cell wall-clock budget (scaled by each experiment's "
         "cost hint and the scale's stretch); a hung cell is killed, "
-        "retried on a fresh worker, and journaled",
+        "retried in a fresh child, and journaled",
     )
     parser.add_argument(
         "--max-retries",
@@ -185,9 +186,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-warm-start",
         action="store_true",
-        help="disable shared-warmup prefix forking: simulate every cell's "
-        "warmup from scratch even when its experiment declares warmup "
-        "structure (output is byte-identical either way)",
+        help="disable shared-warmup prefix forking (on by default at any "
+        "--jobs and --timeout): simulate every cell's warmup from scratch "
+        "even when its experiment declares warmup structure (output is "
+        "byte-identical either way)",
     )
     parser.add_argument(
         "--cache-prune",

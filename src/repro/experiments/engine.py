@@ -1,67 +1,71 @@
-"""Experiment executor: runs registered specs serially or across processes.
+"""Experiment executor: a cell planner plus an inline and a forked-task runner.
 
 The engine expands each :class:`ExperimentSpec` into its cells, computes
-every cell payload — inline, from the cell cache, or on worker processes —
-and merges payloads back **in cell declaration order**, so ``--jobs N``
-output is byte-identical to a serial run (each cell builds its own seeded
-simulator; nothing is shared).
+every cell payload, and merges payloads back **in cell declaration
+order**, so any run's output is byte-identical to a serial one (each cell
+builds its own seeded simulator; nothing is shared).
 
-Byte-identity holds across the cache too: every payload, fresh or cached,
-passes through one canonical JSON round-trip before merging (``repr`` of a
-Python float round-trips exactly, so no precision is lost).  The same
-round-trip guards the supervised worker boundary: workers ship payloads as
-canonical JSON text, so a retried, resumed, or cached cell is
-indistinguishable from a fresh serial one.
+* The **planner** (:func:`_plan`) serves cache hits, re-reports
+  ``skip_failed`` cells, and turns the rest into tasks: one cell each, or
+  one *warm group* — the cells of a :class:`~repro.experiments.registry.
+  WarmupSpec` grid that share a warmup prefix.
+* The **inline runner** (:func:`_run_inline`) computes cells one after
+  another in this process, under the caller's observation or a
+  checkpoint hook when either is set.
+* The **forked-task runner** (:class:`_ForkedRunner`) forks one child per
+  task, up to ``jobs`` at once; each child writes one JSON line per cell
+  to a pipe and leaves with ``os._exit``.  A warm-group child simulates
+  its prefix once and forks one grandchild per cell from the live
+  warmed-up image.  The parent waits on the pipes with ``select``, kills
+  a task's whole process group past its deadline, retries failed cells
+  with backoff, reruns cells a warm group did not report as cold cell
+  tasks, and hands the rest to the inline runner when forking keeps
+  failing.
 
-Cache keys combine the experiment name, an explicit spec version, a
-fingerprint of the experiment's source files (the defining module plus the
-shared harness modules), the full scale preset, and the cell params —
-editing one experiment module invalidates only its own cells.
-
-Robust execution (the week-long-grid layer) is opt-in per call:
-
-* ``journal`` — a :class:`repro.experiments.journal.RunJournal` receives a
-  state transition per cell (dispatched/done/failed/timeout), making the
-  run crash-safe and resumable;
-* ``supervise`` — a :class:`SupervisorConfig` routes cells through a
-  supervised worker pool: per-cell wall-clock timeouts (scaled by the
-  spec's ``cost_hint`` and the scale's ``timeout_scale``), bounded retry
-  with exponential backoff on a fresh worker, worker-death detection with
-  pool rebuild, and graceful degradation to inline serial execution when
-  the pool repeatedly fails;
-* failures never abort the grid: every failing cell is collected into
-  ``ExecutionReport.failures`` (and re-raised at the end as one aggregate
-  :class:`ExperimentFailure` unless ``raise_on_failure=False``);
-* ``should_stop`` — a callable polled between dispatches; when it turns
-  true the engine stops dispatching, drains in-flight cells, and returns
-  with ``report.interrupted`` set (the CLI's clean-SIGINT path).
+Every payload, fresh, forked, or cached, passes through one canonical JSON
+round-trip before merging, so a retried, resumed, warm, or cached cell is
+indistinguishable from a fresh serial one.  Cache keys combine the
+experiment name, spec version, a fingerprint of the experiment's source
+files (its module plus the shared harness modules), the scale, and the
+cell params.  Failing cells never abort the grid: they are collected in
+``ExecutionReport.failures`` and raised together as one
+:class:`ExperimentFailure` at the end unless ``raise_on_failure=False``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
+import select
+import signal
 import sys
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Executor, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.experiments.cache import CellCache
 from repro.experiments.journal import RunJournal, RunState
-from repro.experiments.registry import (
-    Cell,
-    ExperimentSpec,
-    Params,
-    get_spec,
-)
+from repro.experiments.registry import Cell, ExperimentSpec, Params, get_spec
 from repro.experiments.runner import ExperimentResult, ExperimentScale, QUICK
 
 #: Bump when the engine's payload/caching semantics change.
 ENGINE_SCHEMA = 1
+
+#: Base retry backoff in seconds; doubles per attempt.
+BACKOFF_S = 0.25
+#: Longest the forked-task runner sleeps before re-polling ``should_stop``
+#: and the task deadlines.
+POLL_S = 0.05
+#: Consecutive fork failures or child deaths (no success in between)
+#: tolerated before the remaining cells run inline.
+MAX_POOL_FAILURES = 3
+
+
+def _clock() -> float:
+    return time.perf_counter()  # repro: allow[REP001] reason=host-side cell timing and task deadlines, never feed the simulation
 
 
 # ----------------------------------------------------------------------
@@ -113,18 +117,16 @@ def spec_fingerprint(spec: ExperimentSpec) -> str:
     return digest.hexdigest()
 
 
+def _content_key(spec: ExperimentSpec, scale: ExperimentScale, **part: Any) -> str:
+    """Hash of the experiment, its source fingerprint, the scale, and ``part``."""
+    blob = {"experiment": spec.name, "fingerprint": spec_fingerprint(spec),
+            "scale": scale_to_dict(scale), **part}
+    return hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()[:40]
+
+
 def cell_key(spec: ExperimentSpec, scale: ExperimentScale, cell: Cell) -> str:
     """Stable content hash identifying one cell's result."""
-    blob = json.dumps(
-        {
-            "experiment": spec.name,
-            "fingerprint": spec_fingerprint(spec),
-            "scale": scale_to_dict(scale),
-            "params": cell.as_dict(),
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()[:40]
+    return _content_key(spec, scale, params=cell.as_dict())
 
 
 def warm_prefix_key(
@@ -137,40 +139,15 @@ def warm_prefix_key(
     sharing a prefix shares the key and a source edit invalidates both
     the cells and their prefix artifact together.
     """
-    blob = json.dumps(
-        {
-            "experiment": spec.name,
-            "fingerprint": spec_fingerprint(spec),
-            "scale": scale_to_dict(scale),
-            "group": group_params,
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()[:40]
+    return _content_key(spec, scale, group=group_params)
 
 
-# ----------------------------------------------------------------------
-# cell computation (also the process-pool entry point)
-# ----------------------------------------------------------------------
-def compute_cell(spec_name: str, scale_dict: Dict[str, Any], params: Params) -> Params:
-    """Run one cell and return its canonical payload.
-
-    Top-level (and addressed by spec *name*) so a worker process can be
-    handed the call, where the registry is rebuilt by importing
-    :mod:`repro.experiments`.
-    """
-    spec = get_spec(spec_name)
-    scale = scale_from_dict(scale_dict)
-    return _canonical(spec.cell_fn(scale, dict(params)))
-
-
-def _unit_label(spec: ExperimentSpec, cell: Cell) -> str:
-    """Trace/metrics unit label for one cell: ``experiment[k=v,...]``."""
-    params = cell.as_dict()
+def _label(experiment: str, params: Params) -> str:
+    """One cell's trace/metrics unit and report label: ``experiment[k=v,...]``."""
     if not params:
-        return spec.name
+        return experiment
     inner = ",".join(f"{key}={params[key]}" for key in sorted(params))
-    return f"{spec.name}[{inner}]"
+    return f"{experiment}[{inner}]"
 
 
 # ----------------------------------------------------------------------
@@ -189,12 +166,9 @@ class CellFailure:
     attempts: int = 1
 
     def describe(self) -> str:
-        label = self.experiment
-        if self.params:
-            inner = ",".join(f"{k}={self.params[k]}" for k in sorted(self.params))
-            label = f"{self.experiment}[{inner}]"
         plural = "s" if self.attempts != 1 else ""
-        return f"{label}: {self.kind} after {self.attempts} attempt{plural}: {self.error}"
+        return (f"{_label(self.experiment, self.params)}: {self.kind} after "
+                f"{self.attempts} attempt{plural}: {self.error}")
 
 
 class ExperimentFailure(RuntimeError):
@@ -209,32 +183,23 @@ class ExperimentFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class SupervisorConfig:
-    """Knobs for the supervised worker pool."""
+    """The two supervision knobs the CLI exposes."""
 
     #: Base per-cell wall-clock timeout in seconds for a ``cost_hint=1``
     #: cell at ``timeout_scale=1``; ``None`` disables timeouts.
     timeout_s: Optional[float] = None
     #: Extra attempts after the first (crashed, hung, or raising cells).
     max_retries: int = 1
-    #: Base retry backoff; doubles per attempt.
-    backoff_s: float = 0.25
-    #: Supervisor poll interval (result wait granularity).
-    poll_s: float = 0.05
-    #: Consecutive pool failures (spawn errors / worker deaths with no
-    #: intervening success) tolerated before degrading to serial.
-    max_pool_failures: int = 3
 
     def cell_timeout(self, spec: ExperimentSpec, scale: ExperimentScale) -> Optional[float]:
         """The effective wall-clock budget for one of ``spec``'s cells."""
         if self.timeout_s is None:
             return None
-        cost = getattr(spec, "cost_hint", 1.0) or 1.0
-        stretch = getattr(scale, "timeout_scale", 1.0) or 1.0
-        return self.timeout_s * cost * stretch
+        return self.timeout_s * (spec.cost_hint or 1.0) * (scale.timeout_scale or 1.0)
 
 
 # ----------------------------------------------------------------------
-# execution
+# execution report
 # ----------------------------------------------------------------------
 @dataclass
 class ExecutionReport:
@@ -251,7 +216,7 @@ class ExecutionReport:
     interrupted: bool = False
     #: Spec names whose merge was skipped (missing payloads).
     incomplete: List[str] = field(default_factory=list)
-    #: Supervision tallies (retries, timeouts, worker deaths, …).
+    #: Supervision tallies (retries, timeouts, worker deaths, warm cells, …).
     supervision: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -259,34 +224,94 @@ class ExecutionReport:
         return self.computed + self.cached
 
     def result_for(self, name: str) -> Optional[ExperimentResult]:
-        for result in self.results:
-            if result.name == name:
-                return result
-        return None
+        return next((result for result in self.results if result.name == name), None)
 
 
-def _new_supervision_counters() -> Dict[str, int]:
-    return {
-        "dispatched": 0,
-        "retries": 0,
-        "timeouts": 0,
-        "worker_deaths": 0,
-        "pool_rebuilds": 0,
-        "degraded_serial": 0,
-    }
+#: ``report.supervision`` keys, all present (zero) in every report.
+_COUNTERS = ("dispatched", "retries", "timeouts", "worker_deaths", "pool_rebuilds",
+             "degraded_serial", "warm_groups", "warm_cells")
 
 
-#: One pending cell: (spec_index, cell_index, spec, cell, key-or-None).
-_Slot = Tuple[int, int, ExperimentSpec, Cell, Optional[str]]
+class _Slot(NamedTuple):
+    """One pending cell and where its payload goes."""
+
+    spec_index: int
+    cell_index: int
+    spec: ExperimentSpec
+    cell: Cell
+    key: Optional[str]
 
 
+@dataclass
+class _Task:
+    """One unit of forked work: a cold cell, or a warm group of cells."""
+
+    slots: List[_Slot]
+    #: The group's warmup params; ``None`` for a cold cell task.
+    group: Optional[Params] = None
+    attempts: int = 0
+
+
+class _Run:
+    """State shared by the planner and both runners during one call."""
+
+    def __init__(self, scale: ExperimentScale, cache: Optional[CellCache],
+                 journal: Optional[RunJournal], should_stop: Optional[Callable[[], bool]]):
+        self.scale = scale
+        self.cache = cache
+        self.journal = journal
+        self.should_stop = should_stop
+        self.report = ExecutionReport(supervision=dict.fromkeys(_COUNTERS, 0))
+        self.payloads: Dict[Tuple[int, int], Params] = {}
+
+    def stop_requested(self) -> bool:
+        """Poll ``should_stop``; once it fires, the run stays interrupted."""
+        if (not self.report.interrupted and self.should_stop is not None
+                and self.should_stop()):
+            self.report.interrupted = True
+            if self.journal is not None:
+                self.journal.note("signal", action="drain in-flight, stop dispatching")
+        return self.report.interrupted
+
+    def dispatched(self, slot: _Slot, attempt: int, worker: str) -> None:
+        """Journal that ``slot`` started on ``worker``."""
+        if self.journal is not None and slot.key is not None:
+            self.journal.cell_dispatched(slot.spec.name, slot.key, attempt, worker)
+
+    def finish(self, slot: _Slot, payload: Params, attempt: int, wall_s: float,
+               worker: str) -> None:
+        self.payloads[(slot.spec_index, slot.cell_index)] = payload
+        self.report.computed += 1
+        if self.cache is not None and slot.key is not None:
+            self.cache.put(slot.spec.name, slot.key, slot.cell.as_dict(), payload)
+        if self.journal is not None and slot.key is not None:
+            self.journal.cell_done(slot.spec.name, slot.key, attempt, wall_s, worker=worker)
+
+    def fail(self, slot: _Slot, kind: str, error: str, attempts: int, worker: str,
+             final: bool = True) -> None:
+        """Journal a failed attempt; a final one joins ``report.failures``.
+
+        Timeouts are journaled by the runner when it kills the child.
+        """
+        if final:
+            self.report.failures.append(CellFailure(
+                experiment=slot.spec.name, params=slot.cell.as_dict(), key=slot.key,
+                kind=kind, error=error, attempts=attempts,
+            ))
+        if self.journal is not None and slot.key is not None and kind != "timeout":
+            self.journal.cell_failed(slot.spec.name, slot.key, attempts, error, kind=kind,
+                                     final=final, worker=worker)
+
+
+# ----------------------------------------------------------------------
+# execution
+# ----------------------------------------------------------------------
 def execute(
     specs: Sequence[Union[str, ExperimentSpec]],
     scale: ExperimentScale = QUICK,
     *,
     jobs: int = 1,
     cache: Optional[CellCache] = None,
-    executor: Optional[Executor] = None,
     cells_override: Optional[Sequence[Cell]] = None,
     observation: Optional[Any] = None,
     journal: Optional[RunJournal] = None,
@@ -300,317 +325,67 @@ def execute(
 ) -> ExecutionReport:
     """Run ``specs`` and return merged results in the order given.
 
-    ``jobs > 1`` fans cells out across worker processes: on the supervised
-    pool when ``supervise`` is given, else on a private
-    :class:`ProcessPoolExecutor` (or the caller's ``executor``).
-    ``cells_override`` replaces the cell grid — only valid when running a
-    single spec.
+    With ``jobs > 1`` or ``supervise`` every task runs forked, ``jobs`` at a
+    time; ``supervise`` adds per-cell timeouts (scaled by the spec's
+    ``cost_hint`` and the scale's ``timeout_scale``) and retries, without
+    it a failing cell is not retried.  Otherwise cells run inline and only
+    warm groups fork, one at a time.  ``cells_override`` replaces the cell
+    grid of a single spec.
 
-    ``observation`` (a :class:`repro.obs.runtime.Observation`) records the
-    run: every cell is computed serially in-process so its simulator is
-    observable (cache *reads* are bypassed — a cached payload emits no
-    spans — and parallelism/supervision timeouts are ignored), and each
-    cell labels its spans and metrics with ``<experiment>/<cell-params>``.
-    Cache keys and the payloads written back are untouched: recording never
-    perturbs the simulation, so a traced payload is byte-identical to an
-    untraced one.
+    ``warm_start`` (default on) groups the cells of a spec that declares a
+    :class:`~repro.experiments.registry.WarmupSpec` by warmup-prefix key:
+    each prefix is simulated **once** and every cell forks from the live
+    warmed-up process.  Fork inherits memory exactly, so a warm cell is
+    byte-identical to a cold one; the prefix's state digest is kept as a
+    cache artifact and checked against prior runs.
+
+    ``observation`` records the run: cells run inline, cache *reads* are
+    bypassed (a cached payload emits no spans), and each cell labels its
+    spans and metrics ``<experiment>[<cell-params>]``.
+    ``checkpoint_interval`` also runs cells inline, journaling a state
+    digest every N events; ``resume_checkpoints`` maps ``(experiment, cell
+    key)`` to a prior journal's records, which the replay verifies —
+    divergence fails the cell.  Neither plans warm groups.
 
     ``skip_failed`` maps ``(experiment, cell key)`` to a prior
-    :class:`CellFailure` (from a resumed journal): those cells are not
-    re-dispatched, their failure is re-reported instead (``--retry-failed``
-    clears the map).
-
-    ``warm_start`` (default on) exploits declared shared-warmup structure
-    on the serial path: cells of a :class:`~repro.experiments.registry.
-    WarmupSpec`-carrying spec are grouped by warmup-prefix key, each
-    prefix is simulated **once** per group, and every cell forks from the
-    live warmed-up process — O(groups × warmup) instead of O(cells ×
-    warmup) — with the prefix's state digest recorded as a cache artifact
-    and verified against prior runs.  Fork inherits memory exactly, so a
-    warm cell is byte-identical to a cold one; supervised/pool/observed
-    paths always run cold.
-
-    ``checkpoint_interval`` attaches a
-    :class:`repro.sim.checkpoint.CheckpointObserver` to every simulator a
-    cell builds, journaling a state digest every N events (cells run
-    serially in-process, like observation).  ``resume_checkpoints`` maps
-    ``(experiment, cell key)`` to that cell's recorded checkpoint records
-    from a prior journal: the replayed cell verifies each recorded
-    boundary digest and raises on divergence, so a resumed long cell is
-    *proved* byte-identical, not assumed.
-
-    Failing cells never abort the grid; they are collected and re-raised
-    as one :class:`ExperimentFailure` at the end (or only reported in
-    ``report.failures`` when ``raise_on_failure=False``).
+    :class:`CellFailure` that is re-reported instead of re-run;
+    ``should_stop`` is polled between dispatches — once true, nothing new
+    starts, in-flight tasks drain, and ``report.interrupted`` is set.
     """
     resolved = [get_spec(s) if isinstance(s, str) else s for s in specs]
     if cells_override is not None and len(resolved) != 1:
         raise ValueError("cells_override requires exactly one spec")
     if checkpoint_interval is not None and observation is not None:
         raise ValueError("checkpoint_interval cannot be combined with observation")
-    observing = observation is not None
-    bypass_cache = observing and getattr(observation, "bypass_cache", True)
-    need_keys = cache is not None or journal is not None or bool(skip_failed)
+    in_process = observation is not None or checkpoint_interval is not None
+    can_fork = hasattr(os, "fork") and not in_process
 
-    report = ExecutionReport(supervision=_new_supervision_counters())
-    plans: List[List[Cell]] = []
-    payloads: Dict[Tuple[int, int], Params] = {}
-    pending: List[_Slot] = []
+    run = _Run(scale, cache, journal, should_stop)
+    grids, tasks = _plan(
+        run, resolved, cells_override, skip_failed,
+        read_cache=observation is None, warm=can_fork and warm_start,
+    )
+    def forks(task: _Task) -> bool:
+        return can_fork and (jobs > 1 or supervise is not None or task.group is not None)
+
+    forked = [task for task in tasks if forks(task)]
+    inline = [task.slots[0] for task in tasks if not forks(task)]
+    if forked:
+        config = supervise if supervise is not None else SupervisorConfig(max_retries=0)
+        inline = _ForkedRunner(run, max(1, jobs), config).run(forked) + inline
+
+    def probe_for(slot: _Slot) -> Optional[Any]:
+        if checkpoint_interval is not None:
+            return _checkpoint_probe(run, slot, checkpoint_interval, resume_checkpoints)
+        if observation is not None:
+            observation.set_unit(_label(slot.spec.name, slot.cell.as_dict()))
+        return observation
+
+    _run_inline(run, inline, "inline-ckpt" if checkpoint_interval else "inline", probe_for)
+
+    report = run.report
     for spec_index, spec in enumerate(resolved):
-        cells = list(cells_override if cells_override is not None else spec.cells(scale))
-        plans.append(cells)
-        keys = [cell_key(spec, scale, cell) if need_keys else None for cell in cells]
-        if journal is not None:
-            journal.record_cells(
-                spec.name,
-                spec_fingerprint(spec),
-                [(key, cell.as_dict()) for key, cell in zip(keys, cells)],
-            )
-        for cell_index, (cell, key) in enumerate(zip(cells, keys)):
-            prior = skip_failed.get((spec.name, key)) if skip_failed else None
-            if prior is not None:
-                report.failures.append(prior)
-                continue
-            hit = (
-                cache.get(spec.name, key)
-                if cache is not None and not bypass_cache
-                else None
-            )
-            if hit is not None:
-                payloads[(spec_index, cell_index)] = hit
-                report.cached += 1
-                if journal is not None:
-                    journal.cell_done(spec.name, key, 0, 0.0, source="cache")
-            else:
-                pending.append((spec_index, cell_index, spec, cell, key))
-
-    scale_dict = scale_to_dict(scale)
-
-    def _finish(slot: _Slot, payload: Params, attempt: int = 1, wall_s: float = 0.0,
-                worker: str = "inline") -> None:
-        spec_index, cell_index, spec, cell, key = slot
-        payloads[(spec_index, cell_index)] = payload
-        report.computed += 1
-        if cache is not None and key is not None:
-            cache.put(spec.name, key, cell.as_dict(), payload)
-        if journal is not None and key is not None:
-            journal.cell_done(spec.name, key, attempt, wall_s, worker=worker)
-
-    def _fail(slot: _Slot, kind: str, error: str, attempts: int,
-              worker: str = "inline") -> None:
-        spec_index, cell_index, spec, cell, key = slot
-        report.failures.append(
-            CellFailure(
-                experiment=spec.name,
-                params=cell.as_dict(),
-                key=key,
-                kind=kind,
-                error=error,
-                attempts=attempts,
-            )
-        )
-        if journal is not None and key is not None and kind != "timeout":
-            journal.cell_failed(
-                spec.name, key, attempts, error, kind=kind, final=True, worker=worker
-            )
-
-    def _run_inline(slots: Sequence[_Slot], label: str = "inline") -> None:
-        """Serial in-process execution with journaling + failure capture."""
-        for position, slot in enumerate(slots):
-            if should_stop is not None and should_stop():
-                report.interrupted = True
-                report.skipped += len(slots) - position
-                return
-            spec, cell, key = slot[2], slot[3], slot[4]
-            if journal is not None and key is not None:
-                journal.cell_dispatched(spec.name, key, 1, label)
-            started = time.perf_counter()  # repro: allow[REP001] reason=host-side cell timing for the journal, never feeds the simulation
-            try:
-                payload = _canonical(spec.cell_fn(scale, cell.as_dict()))
-            except Exception as exc:
-                _fail(slot, "exception", f"{type(exc).__name__}: {exc}", 1, label)
-                continue
-            wall_s = time.perf_counter() - started  # repro: allow[REP001] reason=host-side cell timing for the journal, never feeds the simulation
-            _finish(slot, payload, 1, wall_s, label)
-
-    def _run_checkpointed(slots: Sequence[_Slot]) -> None:
-        """Serial execution with periodic state digests journaled per cell.
-
-        Each cell runs under a private :class:`Observation` whose only job
-        is attaching a :class:`repro.sim.checkpoint.CheckpointObserver`
-        to every simulator the cell builds.  On resume, the recorded
-        digests become ``expect`` values — the replay raises the moment
-        it diverges from the original run.
-        """
-        from repro.obs import runtime as obs_runtime
-        from repro.sim.checkpoint import CheckpointObserver
-
-        for position, slot in enumerate(slots):
-            if should_stop is not None and should_stop():
-                report.interrupted = True
-                report.skipped += len(slots) - position
-                return
-            spec, cell, key = slot[2], slot[3], slot[4]
-            if journal is not None and key is not None:
-                journal.cell_dispatched(spec.name, key, 1, "inline-ckpt")
-            recorded = (
-                resume_checkpoints.get((spec.name, key), [])
-                if resume_checkpoints and key is not None
-                else []
-            )
-            # Cells may build several simulators; expectations are keyed
-            # by build order (the ``sim`` index of the journal record).
-            expect_by_sim: Dict[int, Dict[int, str]] = {}
-            for record in recorded:
-                expect_by_sim.setdefault(int(record.get("sim", 0)), {})[
-                    int(record["events"])
-                ] = str(record["digest"])
-            sim_serial = [0]
-
-            def _hook(unit: str, system: Any, _spec=spec, _key=key,
-                      _expect=expect_by_sim, _serial=sim_serial) -> None:
-                index = _serial[0]
-                _serial[0] += 1
-
-                def _record(cp: Dict[str, Any], _index=index) -> None:
-                    if journal is not None and _key is not None:
-                        journal.cell_checkpoint(
-                            _spec.name,
-                            _key,
-                            cp["events"],
-                            cp["sim_time"],
-                            cp["digest"],
-                            sim_index=_index,
-                        )
-
-                system.sim.attach(
-                    CheckpointObserver(
-                        system,
-                        interval=checkpoint_interval,
-                        on_checkpoint=_record,
-                        expect=_expect.get(index),
-                    )
-                )
-
-            probe = obs_runtime.Observation(on_system=_hook)
-            probe.bypass_cache = False
-            obs_runtime.activate(probe)
-            started = time.perf_counter()  # repro: allow[REP001] reason=host-side cell timing for the journal, never feeds the simulation
-            try:
-                payload = _canonical(spec.cell_fn(scale, cell.as_dict()))
-            except Exception as exc:
-                _fail(slot, "exception", f"{type(exc).__name__}: {exc}", 1,
-                      "inline-ckpt")
-                continue
-            finally:
-                obs_runtime.deactivate()
-            wall_s = time.perf_counter() - started  # repro: allow[REP001] reason=host-side cell timing for the journal, never feeds the simulation
-            _finish(slot, payload, 1, wall_s, "inline-ckpt")
-
-    if observing:
-        from repro.obs import runtime as obs_runtime
-
-        obs_runtime.activate(observation)
-        try:
-            for position, slot in enumerate(pending):
-                if should_stop is not None and should_stop():
-                    report.interrupted = True
-                    report.skipped += len(pending) - position
-                    break
-                spec, cell, key = slot[2], slot[3], slot[4]
-                observation.set_unit(_unit_label(spec, cell))
-                if journal is not None and key is not None:
-                    journal.cell_dispatched(spec.name, key, 1, "inline")
-                started = time.perf_counter()  # repro: allow[REP001] reason=host-side cell timing for the journal, never feeds the simulation
-                try:
-                    payload = _canonical(spec.cell_fn(scale, cell.as_dict()))
-                except Exception as exc:
-                    _fail(slot, "exception", f"{type(exc).__name__}: {exc}", 1)
-                    continue
-                wall_s = time.perf_counter() - started  # repro: allow[REP001] reason=host-side cell timing for the journal, never feeds the simulation
-                _finish(slot, payload, 1, wall_s)
-        finally:
-            observation.set_unit(None)
-            obs_runtime.deactivate()
-    elif pending and checkpoint_interval is not None:
-        _run_checkpointed(pending)
-    elif pending and supervise is not None:
-        _run_supervised(
-            pending,
-            scale,
-            scale_dict,
-            max(1, jobs),
-            supervise,
-            journal,
-            report,
-            _finish,
-            _fail,
-            _run_inline,
-            should_stop,
-        )
-    elif pending and (jobs > 1 or executor is not None) and len(pending) > 1:
-        pool = executor
-        owned = pool is None
-        if owned:
-            pool = ProcessPoolExecutor(max_workers=max(1, jobs))
-        fallback: List[_Slot] = []
-        try:
-            futures = {}
-            for slot in pending:
-                spec, cell, key = slot[2], slot[3], slot[4]
-                if journal is not None and key is not None:
-                    journal.cell_dispatched(spec.name, key, 1, "pool")
-                futures[
-                    pool.submit(compute_cell, spec.name, scale_dict, cell.as_dict())
-                ] = slot
-            remaining = set(futures)
-            broken = False
-            while remaining and not broken:
-                done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                for future in done:
-                    slot = futures[future]
-                    try:
-                        _finish(slot, future.result(), 1, 0.0, "pool")
-                    except BrokenProcessPool:
-                        # The pool lost a worker: every unfinished cell is
-                        # gone with it.  Degrade the remainder to serial.
-                        broken = True
-                        fallback.append(slot)
-                    except Exception as exc:
-                        _fail(
-                            slot, "exception", f"{type(exc).__name__}: {exc}", 1, "pool"
-                        )
-            if broken:
-                for future in remaining:
-                    future.cancel()
-                fallback.extend(
-                    futures[future] for future in futures if not future.done()
-                )
-                report.supervision["degraded_serial"] = 1
-                if journal is not None:
-                    journal.note("degraded_serial", reason="broken process pool")
-        finally:
-            if owned:
-                pool.shutdown()
-        if fallback:
-            ordered = sorted(fallback, key=lambda slot: (slot[0], slot[1]))
-            _run_inline(ordered)
-    elif (
-        pending
-        and warm_start
-        and hasattr(os, "fork")
-        and any(slot[2].warmup is not None for slot in pending)
-    ):
-        _run_warm_start(
-            pending, scale, cache, journal, report, _finish, _run_inline, should_stop
-        )
-    else:
-        _run_inline(pending)
-
-    for spec_index, spec in enumerate(resolved):
-        ordered = [
-            payloads.get((spec_index, i)) for i in range(len(plans[spec_index]))
-        ]
+        ordered = [run.payloads.get((spec_index, i)) for i in range(len(grids[spec_index]))]
         if any(payload is None for payload in ordered):
             report.incomplete.append(spec.name)
             continue
@@ -621,611 +396,422 @@ def execute(
 
 
 # ----------------------------------------------------------------------
-# shared-warmup fork executor
+# planner
 # ----------------------------------------------------------------------
-def _warm_leader(
-    write_fd: int,
-    spec: ExperimentSpec,
-    scale: ExperimentScale,
-    group_params: Params,
-    slots: Sequence[_Slot],
-) -> None:
-    """Group leader (runs in a forked child; never returns).
+def _plan(
+    run: _Run,
+    specs: Sequence[ExperimentSpec],
+    cells_override: Optional[Sequence[Cell]],
+    skip_failed: Optional[Dict[Tuple[str, str], CellFailure]],
+    *,
+    read_cache: bool,
+    warm: bool,
+) -> Tuple[List[List[Cell]], List[_Task]]:
+    """Resolve every spec's cells and turn the uncomputed ones into tasks.
 
-    Simulates the shared warmup prefix once, reports its state digest,
-    then forks one grandchild per cell: the grandchild diverges via
-    ``spec.warmup.finish`` over the inherited live context and ships its
-    canonical payload back up.  Grandchildren run strictly one at a time
-    (fork → drain pipe → waitpid) so their simulations never interleave
-    and the leader's memory image stays pristine between forks.
+    Returns each spec's cell grid and the task list: warm groups first (the
+    longest tasks, so a parallel run starts them early), then cold cells in
+    declaration order.  A prefix shared by a single cell saves nothing, so
+    that cell runs cold.
     """
-    stream = os.fdopen(write_fd, "w")
+    need_keys = run.cache is not None or run.journal is not None or bool(skip_failed)
+    grids: List[List[Cell]] = []
+    groups: Dict[Tuple[int, str], List[_Slot]] = {}
+    cold: List[_Task] = []
+    for spec_index, spec in enumerate(specs):
+        cells = list(cells_override if cells_override is not None else spec.cells(run.scale))
+        grids.append(cells)
+        keys = [cell_key(spec, run.scale, cell) if need_keys else None for cell in cells]
+        if run.journal is not None:
+            run.journal.record_cells(spec.name, spec_fingerprint(spec),
+                                     [(key, cell.as_dict()) for key, cell in zip(keys, cells)])
+        for cell_index, (cell, key) in enumerate(zip(cells, keys)):
+            prior = skip_failed.get((spec.name, key)) if skip_failed else None
+            if prior is not None:
+                run.report.failures.append(prior)
+                continue
+            hit = run.cache.get(spec.name, key) if run.cache is not None and read_cache else None
+            if hit is not None:
+                run.payloads[(spec_index, cell_index)] = hit
+                run.report.cached += 1
+                if run.journal is not None:
+                    run.journal.cell_done(spec.name, key, 0, 0.0, source="cache")
+                continue
+            slot = _Slot(spec_index, cell_index, spec, cell, key)
+            if not warm or spec.warmup is None:
+                cold.append(_Task([slot]))
+                continue
+            group = json.dumps(spec.warmup.group(cell.as_dict()), sort_keys=True)
+            groups.setdefault((spec_index, group), []).append(slot)
+    tasks: List[_Task] = []
+    for (_, group), slots in sorted(groups.items()):
+        if len(slots) > 1:
+            tasks.append(_Task(slots, json.loads(group)))
+        else:
+            cold.append(_Task(slots))
+    cold.sort(key=lambda task: task.slots[0][:2])
+    return grids, tasks + cold
 
-    def _emit(record: Dict[str, Any]) -> None:
-        stream.write(json.dumps(record) + "\n")
-        stream.flush()
 
-    try:
-        try:
-            ctx = spec.warmup.prefix(scale, dict(group_params))
-        except Exception as exc:
-            _emit({"kind": "prefix-error", "error": f"{type(exc).__name__}: {exc}"})
+# ----------------------------------------------------------------------
+# inline runner
+# ----------------------------------------------------------------------
+def _run_inline(run: _Run, slots: Sequence[_Slot], label: str,
+                probe_for: Callable[[_Slot], Optional[Any]]) -> None:
+    """Compute ``slots`` one after another in this process.
+
+    ``probe_for(slot)`` returns the :class:`~repro.obs.runtime.Observation`
+    to activate around that cell — the caller's, or a checkpoint hook —
+    or ``None`` to run the cell bare.
+    """
+    from repro.obs import runtime as obs_runtime
+
+    for position, slot in enumerate(slots):
+        if run.stop_requested():
+            run.report.skipped += len(slots) - position
             return
-        prefix_record: Dict[str, Any] = {"kind": "prefix"}
+        run.dispatched(slot, 1, label)
+        probe = probe_for(slot)
+        if probe is not None:
+            obs_runtime.activate(probe)
+        started = _clock()
+        try:
+            payload = _canonical(slot.spec.cell_fn(run.scale, slot.cell.as_dict()))
+        except Exception as exc:
+            run.fail(slot, "exception", f"{type(exc).__name__}: {exc}", 1, label)
+            continue
+        finally:
+            if probe is not None:
+                probe.set_unit(None)
+                obs_runtime.deactivate()
+        run.finish(slot, payload, 1, _clock() - started, label)
+
+
+def _checkpoint_probe(run: _Run, slot: _Slot, interval: int,
+                      resume_checkpoints: Optional[Dict[Tuple[str, str], List[Dict]]]) -> Any:
+    """An observation whose only job is attaching a checkpoint observer.
+
+    Every simulator the cell builds journals a state digest every
+    ``interval`` events.  On resume, the cell's recorded digests, keyed by
+    build order (the record's ``sim`` index), become ``expect`` values:
+    the replay raises the moment it diverges.
+    """
+    from repro.obs.runtime import Observation
+    from repro.sim.checkpoint import CheckpointObserver
+
+    spec, key, journal = slot.spec, slot.key, run.journal
+    expect: Dict[int, Dict[int, str]] = {}
+    for record in (resume_checkpoints or {}).get((spec.name, key), []):
+        expect.setdefault(int(record.get("sim", 0)), {})[int(record["events"])] = record["digest"]
+    built = itertools.count()
+
+    def attach(unit: str, system: Any) -> None:
+        index = next(built)
+
+        def journal_checkpoint(cp: Dict[str, Any]) -> None:
+            if journal is not None and key is not None:
+                journal.cell_checkpoint(spec.name, key, cp["events"], cp["sim_time"],
+                                        cp["digest"], sim_index=index)
+
+        system.sim.attach(CheckpointObserver(system, interval=interval,
+                                             on_checkpoint=journal_checkpoint,
+                                             expect=expect.get(index)))
+
+    return Observation(on_system=attach)
+
+
+# ----------------------------------------------------------------------
+# forked-task runner: the child side
+# ----------------------------------------------------------------------
+def _fork(body: Callable[[], None]) -> int:
+    """Fork a child that runs ``body`` and leaves via ``os._exit``."""
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            body()
+            status = 0
+        finally:
+            os._exit(status)
+    return pid
+
+
+def _report_cell(out: Any, index: int, compute: Callable[[], Params]) -> None:
+    """Compute one cell and write its record (payload or error) to ``out``."""
+    started = _clock()
+    try:
+        record = {"kind": "cell", "index": index, "ok": True, "payload": compute()}
+        record["wall_s"] = _clock() - started
+        line = json.dumps(record)
+    except Exception as exc:  # reported; anything else leaves the cell unreported
+        line = json.dumps({"kind": "cell", "index": index, "ok": False,
+                           "error": f"{type(exc).__name__}: {exc}"})
+    out.write(line + "\n")
+    out.flush()
+
+
+def _lead_group(out: Any, task: _Task, scale: ExperimentScale) -> None:
+    """Simulate a warm group's prefix once, then fork one grandchild per cell.
+
+    Grandchildren run ``spec.warmup.finish`` on the inherited live context
+    strictly one at a time (fork → waitpid) and write their records
+    straight to the shared pipe, so neither their simulations nor their
+    writes interleave, and each one forks from a pristine image.
+    """
+    spec = task.slots[0].spec
+    try:
+        ctx = spec.warmup.prefix(scale, dict(task.group))
+        record: Dict[str, Any] = {"kind": "prefix"}
         system = ctx.get("system") if isinstance(ctx, dict) else None
         if system is not None:
             from repro.sim.checkpoint import snapshot_system
 
-            snap = snapshot_system(
-                system, recipe={"experiment": spec.name, "group": group_params}
-            )
-            prefix_record.update(
-                events=snap.events, sim_time=snap.sim_time, digest=snap.digest
-            )
-        _emit(prefix_record)
-        for index, slot in enumerate(slots):
-            read_fd, child_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(read_fd)
-                child_out = os.fdopen(child_fd, "w")
-                status = 0
-                try:
-                    started = time.perf_counter()  # repro: allow[REP001] reason=host-side cell timing for the journal, never feeds the simulation
-                    payload = _canonical(
-                        spec.warmup.finish(scale, slot[3].as_dict(), ctx)
-                    )
-                    wall_s = time.perf_counter() - started  # repro: allow[REP001] reason=host-side cell timing, never feeds the simulation
-                    child_out.write(
-                        json.dumps(
-                            {
-                                "kind": "cell",
-                                "index": index,
-                                "ok": True,
-                                "payload": payload,
-                                "wall_s": wall_s,
-                            }
-                        )
-                        + "\n"
-                    )
-                    child_out.flush()
-                except BaseException as exc:  # noqa: BLE001 — child must report, not unwind
-                    try:
-                        child_out.write(
-                            json.dumps(
-                                {
-                                    "kind": "cell",
-                                    "index": index,
-                                    "ok": False,
-                                    "error": f"{type(exc).__name__}: {exc}",
-                                }
-                            )
-                            + "\n"
-                        )
-                        child_out.flush()
-                    except BaseException:  # noqa: BLE001
-                        status = 1
-                finally:
-                    os._exit(status)
-            os.close(child_fd)
-            # Drain before waitpid: a payload larger than the pipe buffer
-            # would otherwise deadlock the grandchild's final write.
-            with os.fdopen(read_fd, "r") as child_in:
-                text = child_in.read()
-            os.waitpid(pid, 0)
-            line = text.strip().splitlines()
-            if line:
-                stream.write(line[-1] + "\n")
-                stream.flush()
-            else:
-                _emit({"kind": "cell", "index": index, "ok": False,
-                       "error": "warm cell worker died before reporting"})
-        _emit({"kind": "end"})
-    except BaseException:  # noqa: BLE001 — parent treats EOF as group failure
-        pass
-    finally:
-        try:
-            stream.flush()
-        except OSError:
-            pass
-        os._exit(0)
-
-
-def _run_warm_start(
-    pending: Sequence[_Slot],
-    scale: ExperimentScale,
-    cache: Optional[CellCache],
-    journal: Optional[RunJournal],
-    report: ExecutionReport,
-    _finish: Callable[..., None],
-    _run_inline: Callable[..., None],
-    should_stop: Optional[Callable[[], bool]],
-) -> None:
-    """Serial path with shared-warmup groups forked from live prefixes.
-
-    Cells whose spec declares a :class:`~repro.experiments.registry.
-    WarmupSpec` are grouped by warmup-prefix key; each group ≥ 2 cells
-    runs through a forked leader that simulates the prefix once.  Cells
-    without warmup structure — and any cell whose warm payload goes
-    missing (leader or grandchild death) — run cold inline, so warm
-    start can only save time, never lose results.
-    """
-    groups: Dict[Tuple[int, str], List[_Slot]] = {}
-    group_params: Dict[Tuple[int, str], Params] = {}
-    cold: List[_Slot] = []
-    for slot in pending:
-        spec = slot[2]
-        if spec.warmup is None:
-            cold.append(slot)
-            continue
-        params = _canonical(spec.warmup.group(slot[3].as_dict()))
-        group_id = (slot[0], json.dumps(params, sort_keys=True))
-        groups.setdefault(group_id, []).append(slot)
-        group_params[group_id] = params
-    # A prefix shared by one cell saves nothing; run it cold.
-    warm_groups = {gid: slots for gid, slots in groups.items() if len(slots) > 1}
-    for gid, slots in groups.items():
-        if gid not in warm_groups:
-            cold.extend(slots)
-    cold.sort(key=lambda slot: (slot[0], slot[1]))
-
-    fallback: List[_Slot] = []
-    for serial, (gid, slots) in enumerate(sorted(warm_groups.items()), start=1):
-        if should_stop is not None and should_stop():
-            report.interrupted = True
-            report.skipped += sum(
-                len(s) for g, s in sorted(warm_groups.items()) if g >= gid
-            )
-            break
-        spec = slots[0][2]
-        params = group_params[gid]
-        worker = f"warm-g{serial}"
-        prefix_key = warm_prefix_key(spec, scale, params)
-        if journal is not None:
-            for slot in slots:
-                if slot[4] is not None:
-                    journal.cell_dispatched(spec.name, slot[4], 1, worker)
-        try:
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-        except OSError:
-            fallback.extend(slots)
-            continue
-        if pid == 0:
-            os.close(read_fd)
-            _warm_leader(write_fd, spec, scale, params, slots)  # never returns
-        os.close(write_fd)
-        records: List[Dict[str, Any]] = []
-        with os.fdopen(read_fd, "r") as stream:
-            for line in stream:
-                try:
-                    records.append(json.loads(line))
-                except ValueError:
-                    continue
-        os.waitpid(pid, 0)
-
-        report.supervision["warm_groups"] = (
-            report.supervision.get("warm_groups", 0) + 1
-        )
-        got: Dict[int, Dict[str, Any]] = {}
-        for record in records:
-            kind = record.get("kind")
-            if kind == "prefix" and "digest" in record:
-                _verify_prefix_artifact(
-                    cache, journal, spec, prefix_key, params, scale, record
-                )
-            elif kind == "prefix-error":
-                if journal is not None:
-                    journal.note(
-                        "warm_prefix_failed",
-                        experiment=spec.name,
-                        key=prefix_key,
-                        error=record.get("error", "?"),
-                    )
-            elif kind == "cell":
-                got[int(record.get("index", -1))] = record
-        for index, slot in enumerate(slots):
-            record = got.get(index)
-            if record is not None and record.get("ok"):
-                report.supervision["warm_cells"] = (
-                    report.supervision.get("warm_cells", 0) + 1
-                )
-                _finish(
-                    slot,
-                    record["payload"],
-                    1,
-                    float(record.get("wall_s", 0.0)),
-                    worker,
-                )
-            else:
-                # Died or raised warm: rerun cold so a real workload error
-                # surfaces through the ordinary failure path.
-                fallback.append(slot)
-
-    if fallback:
-        # _run_inline re-checks should_stop per slot, so a drain-and-stop
-        # request still short-circuits the cold remainder.
-        fallback.sort(key=lambda slot: (slot[0], slot[1]))
-        _run_inline(fallback, "inline-warm-fallback")
-    _run_inline(cold)
-
-
-def _verify_prefix_artifact(
-    cache: Optional[CellCache],
-    journal: Optional[RunJournal],
-    spec: ExperimentSpec,
-    prefix_key: str,
-    group_params: Params,
-    scale: ExperimentScale,
-    record: Dict[str, Any],
-) -> None:
-    """Record a warmup prefix's digest; shout if it drifted from a prior run."""
-    if cache is None:
+            snap = snapshot_system(system, recipe={"experiment": spec.name, "group": task.group})
+            record.update(events=snap.events, sim_time=snap.sim_time, digest=snap.digest)
+    except Exception as exc:
+        record = {"kind": "prefix-error", "error": f"{type(exc).__name__}: {exc}"}
+    out.write(json.dumps(record) + "\n")
+    out.flush()
+    if record["kind"] == "prefix-error":
         return
-    artifact = {
-        "events": record.get("events"),
-        "sim_time": record.get("sim_time"),
-        "digest": record.get("digest"),
-        "group": group_params,
-        "scale": scale_to_dict(scale),
-    }
-    prior = cache.get_prefix(spec.name, prefix_key)
-    if prior is not None and prior.get("digest") == artifact["digest"]:
-        return
-    if prior is not None:
-        message = (
-            f"warmup prefix for {spec.name} (key {prefix_key[:12]}) diverged "
-            f"from the recorded digest: {str(prior.get('digest'))[:16]}… -> "
-            f"{str(artifact['digest'])[:16]}…"
-        )
-        sys.stderr.write(f"warning: {message}\n")
-        if journal is not None:
-            journal.note(
-                "warm_prefix_divergence",
-                experiment=spec.name,
-                key=prefix_key,
-                recorded=prior.get("digest"),
-                observed=artifact["digest"],
-            )
-    cache.put_prefix(spec.name, prefix_key, artifact)
+    for index, slot in enumerate(task.slots):
+        # A grandchild killed mid-write tears its line and the next one;
+        # the parent skips the garbled line and reruns both cells cold.
+        os.waitpid(_fork(lambda: _report_cell(out, index, lambda: spec.warmup.finish(
+            scale, slot.cell.as_dict(), ctx))), 0)
+
+
+def _task_child(read_fd: int, write_fd: int, task: _Task, scale: ExperimentScale) -> None:
+    """Body of a forked task child."""
+    os.close(read_fd)
+    os.setpgid(0, 0)  # one process group per task: a timeout kills it whole
+    out = os.fdopen(write_fd, "w")
+    if task.group is not None:
+        _lead_group(out, task, scale)
+    else:
+        slot = task.slots[0]
+        _report_cell(out, 0, lambda: slot.spec.cell_fn(scale, slot.cell.as_dict()))
 
 
 # ----------------------------------------------------------------------
-# supervised worker pool
+# forked-task runner: the parent side
 # ----------------------------------------------------------------------
-def _supervised_worker(worker_id: str, task_queue: Any, result_queue: Any) -> None:
-    """Worker loop: compute cells until handed ``None``.
+@dataclass
+class _Child:
+    """One running task child, as the parent sees it."""
 
-    Payloads travel back as canonical JSON text, so the parent's
-    ``json.loads`` reproduces the exact bytes a serial run would merge.
-    """
-    while True:
-        item = task_queue.get()
-        if item is None:
-            return
-        task_id, attempt, spec_name, scale_dict, params = item
-        started = time.perf_counter()  # repro: allow[REP001] reason=host-side cell timing for the journal, never feeds the simulation
-        try:
-            payload = compute_cell(spec_name, scale_dict, params)
-        except Exception as exc:
-            wall_s = time.perf_counter() - started  # repro: allow[REP001] reason=host-side cell timing, never feeds the simulation
-            result_queue.put(
-                (task_id, attempt, False, f"{type(exc).__name__}: {exc}", wall_s)
-            )
-        else:
-            wall_s = time.perf_counter() - started  # repro: allow[REP001] reason=host-side cell timing, never feeds the simulation
-            result_queue.put((task_id, attempt, True, json.dumps(payload), wall_s))
+    pid: int
+    fd: int
+    task: _Task
+    worker: str
+    budget: Optional[float]
+    deadline: Optional[float] = None
+    buffer: bytes = b""
+    #: Cell records received so far, by the cell's index in the task.
+    cells: Dict[int, Dict[str, Any]] = field(default_factory=dict)
+
+    def refresh_deadline(self) -> None:
+        if self.budget is not None:
+            self.deadline = _clock() + self.budget
 
 
-class _Task:
-    __slots__ = ("task_id", "slot", "attempts", "timeout_s", "finished")
+class _ForkedRunner:
+    """Run tasks in forked children, up to ``jobs`` at once."""
 
-    def __init__(self, task_id: int, slot: _Slot, timeout_s: Optional[float]):
-        self.task_id = task_id
-        self.slot = slot
-        self.attempts = 0
-        self.timeout_s = timeout_s
-        self.finished = False
+    def __init__(self, run: _Run, jobs: int, config: SupervisorConfig):
+        self.run_state = run
+        self.counters = run.report.supervision
+        self.jobs = jobs
+        self.config = config
+        self.queue: Deque[_Task] = deque()
+        self.waiting: List[Tuple[float, _Task]] = []  # (eligible_at, retry)
+        self.running: Dict[int, _Child] = {}  # read fd -> child
+        self.failures_in_row = 0
 
     @property
-    def label(self) -> str:
-        return _unit_label(self.slot[2], self.slot[3])
+    def degraded(self) -> bool:
+        """Forking keeps failing: start nothing new; leftovers run inline."""
+        return self.failures_in_row > MAX_POOL_FAILURES
 
-
-class _WorkerHandle:
-    __slots__ = ("worker_id", "task_queue", "proc", "task", "deadline", "attempt")
-
-    def __init__(self, ctx: Any, worker_id: str, result_queue: Any):
-        self.worker_id = worker_id
-        self.task_queue = ctx.SimpleQueue()
-        self.proc = ctx.Process(
-            target=_supervised_worker,
-            args=(worker_id, self.task_queue, result_queue),
-            daemon=True,
-            name=f"repro-cell-{worker_id}",
-        )
-        self.proc.start()
-        self.task: Optional[_Task] = None
-        self.deadline: Optional[float] = None
-        self.attempt = 0
-
-    def kill(self) -> None:
+    def run(self, tasks: Sequence[_Task]) -> List[_Slot]:
+        """Run ``tasks``; return the cells left over if forking kept failing."""
+        self.queue.extend(tasks)
         try:
-            self.proc.terminate()
-            self.proc.join(0.5)
-            if self.proc.is_alive():
-                self.proc.kill()
-                self.proc.join(0.5)
-        except (OSError, ValueError):
-            pass
+            while self.running or (not self.degraded and (self.queue or self.waiting)):
+                if self.run_state.stop_requested():
+                    self.run_state.report.skipped += len(self._pending())
+                    self.queue.clear()
+                    self.waiting.clear()
+                now = _clock()
+                self.queue.extend(task for at, task in self.waiting if at <= now)
+                self.waiting = [(at, task) for at, task in self.waiting if at > now]
+                while self.queue and len(self.running) < self.jobs and not self.degraded:
+                    self._start(self.queue.popleft())
+                self._wait()
+        finally:
+            for child in list(self.running.values()):
+                self._reap(child, kill=True)
+        if self.degraded:
+            self.counters["degraded_serial"] = 1
+            if self.run_state.journal is not None:
+                self.run_state.journal.note("degraded_serial", reason=(
+                    f"forking failed {self.failures_in_row} times in a row"))
+        return sorted(self._pending(), key=lambda slot: slot[:2])
 
-    def shutdown(self) -> None:
-        if self.proc.is_alive():
-            try:
-                self.task_queue.put(None)
-            except (OSError, ValueError):
-                pass
-            self.proc.join(0.5)
-        if self.proc.is_alive():
-            self.kill()
+    def _pending(self) -> List[_Slot]:
+        """Cells of tasks queued or backing off (not running)."""
+        tasks = list(self.queue) + [task for _, task in self.waiting]
+        return [slot for task in tasks for slot in task.slots]
 
-
-def _run_supervised(
-    pending: Sequence[_Slot],
-    scale: ExperimentScale,
-    scale_dict: Dict[str, Any],
-    jobs: int,
-    cfg: SupervisorConfig,
-    journal: Optional[RunJournal],
-    report: ExecutionReport,
-    _finish: Callable[..., None],
-    _fail: Callable[..., None],
-    _run_inline: Callable[..., None],
-    should_stop: Optional[Callable[[], bool]],
-) -> None:
-    """Dispatch ``pending`` onto a supervised pool of worker processes."""
-    import multiprocessing
-    import queue as queue_mod
-
-    ctx = multiprocessing.get_context()
-    result_queue = ctx.Queue()
-    counters = report.supervision
-
-    tasks: Dict[int, _Task] = {}
-    ready: deque = deque()
-    waiting: List[Tuple[float, int]] = []  # (eligible_at, task_id)
-    for task_id, slot in enumerate(pending):
-        tasks[task_id] = _Task(task_id, slot, cfg.cell_timeout(slot[2], scale))
-        ready.append(task_id)
-
-    workers: List[_WorkerHandle] = []
-    worker_serial = 0
-    pool_failures = 0  # consecutive, reset by any successful result
-    degraded = False
-    interrupted = False
-    unfinished = len(tasks)
-
-    def _monotonic() -> float:
-        return time.monotonic()  # repro: allow[REP001] reason=host-side supervisor deadlines, never feed the simulation
-
-    def spawn_worker() -> Optional[_WorkerHandle]:
-        nonlocal worker_serial, pool_failures
-        worker_serial += 1
+    def _start(self, task: _Task) -> None:
+        read_fd, write_fd = os.pipe()
         try:
-            handle = _WorkerHandle(ctx, f"w{worker_serial}", result_queue)
-        except Exception:
-            pool_failures += 1
-            return None
-        workers.append(handle)
-        return handle
-
-    def retire(handle: _WorkerHandle) -> None:
-        if handle in workers:
-            workers.remove(handle)
-
-    def settle_success(task: _Task, payload_text: str, attempt: int, wall_s: float,
-                       worker: str) -> None:
-        nonlocal unfinished, pool_failures
-        task.finished = True
-        unfinished -= 1
-        pool_failures = 0
-        _finish(task.slot, json.loads(payload_text), attempt, wall_s, worker)
-
-    def settle_failure(task: _Task, kind: str, error: str, worker: str) -> None:
-        nonlocal unfinished
-        task.finished = True
-        unfinished -= 1
-        _fail(task.slot, kind, error, task.attempts, worker)
-
-    def retry_or_fail(task: _Task, kind: str, error: str, worker: str) -> None:
-        spec, key = task.slot[2], task.slot[4]
-        final = task.attempts > cfg.max_retries or interrupted
-        if journal is not None and key is not None and kind != "timeout":
-            journal.cell_failed(
-                spec.name, key, task.attempts, error, kind=kind,
-                final=final, worker=worker,
-            )
-        if final:
-            settle_failure(task, kind, error, worker)
+            pid = _fork(lambda: _task_child(read_fd, write_fd, task, self.run_state.scale))
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            self.failures_in_row += 1
+            self.waiting.append((_clock() + BACKOFF_S, task))
+            return
+        try:
+            os.setpgid(pid, pid)
+        except OSError:
+            pass  # the child did it first
+        os.close(write_fd)
+        self.counters["dispatched"] += 1
+        task.attempts += 1  # a warm group runs once: its failed cells rerun cold
+        if task.group is not None:
+            worker = _label("warm", task.group)
         else:
-            counters["retries"] += 1
-            backoff = cfg.backoff_s * (2 ** (task.attempts - 1))
-            waiting.append((_monotonic() + backoff, task.task_id))
+            busy = [child.worker for child in self.running.values()]
+            worker = next(f"w{n}" for n in itertools.count(1) if f"w{n}" not in busy)
+        child = _Child(pid, read_fd, task, worker,
+                       self.config.cell_timeout(task.slots[0].spec, self.run_state.scale))
+        child.refresh_deadline()
+        self.running[read_fd] = child
+        for slot in task.slots:
+            self.run_state.dispatched(slot, task.attempts, worker)
 
-    def handle_worker_loss(handle: _WorkerHandle, kind: str, error: str) -> None:
-        """A busy worker died or was killed; retry its task elsewhere."""
-        nonlocal pool_failures
-        task = handle.task
-        handle.task = None
-        handle.deadline = None
-        retire(handle)
-        if kind == "worker-died":
-            counters["worker_deaths"] += 1
-            pool_failures += 1
-            if journal is not None:
-                journal.note("worker_died", worker=handle.worker_id, cell=task.label)
-        if task is not None and not task.finished:
-            retry_or_fail(task, kind, error, handle.worker_id)
-
-    try:
-        while unfinished > 0:
-            if should_stop is not None and not interrupted and should_stop():
-                interrupted = True
-                report.interrupted = True
-                if journal is not None:
-                    journal.note("signal", action="drain in-flight, stop dispatching")
-                # Abandon everything not yet on a worker; it stays
-                # pending in the journal for --resume.
-                abandoned = len(ready) + len(waiting)
-                ready.clear()
-                waiting.clear()
-                report.skipped += abandoned
-                unfinished -= abandoned
-
-            now = _monotonic()
-
-            # Promote retry-backoff tasks whose wait elapsed.
-            if waiting and not interrupted:
-                still_waiting = []
-                for eligible_at, task_id in waiting:
-                    if now >= eligible_at:
-                        ready.append(task_id)
-                    else:
-                        still_waiting.append((eligible_at, task_id))
-                waiting[:] = still_waiting
-
-            # Degrade to serial when the pool keeps failing.
-            if pool_failures > cfg.max_pool_failures and not degraded:
-                degraded = True
-                break
-
-            # Dispatch ready tasks onto idle (alive) workers, growing the
-            # pool up to ``jobs``.
-            while ready:
-                handle = next(
-                    (w for w in workers if w.task is None and w.proc.is_alive()), None
-                )
-                if handle is None:
-                    if len(workers) >= jobs:
-                        break
-                    handle = spawn_worker()
-                    if handle is None:
-                        break
-                task = tasks[ready[0]]
-                task.attempts += 1
+    def _wait(self) -> None:
+        """Read what the children wrote; settle the finished and the late."""
+        if not self.running:
+            time.sleep(POLL_S)  # only retries are backing off
+            return
+        readable, _, _ = select.select(list(self.running), [], [], POLL_S)
+        for fd in readable:
+            child = self.running[fd]
+            data = os.read(fd, 1 << 16)
+            if not data:
+                self._settle(child, self._reap(child), timed_out=False)
+                continue
+            *lines, child.buffer = (child.buffer + data).split(b"\n")
+            for line in lines:
                 try:
-                    handle.task_queue.put(
-                        (
-                            task.task_id,
-                            task.attempts,
-                            task.slot[2].name,
-                            scale_dict,
-                            task.slot[3].as_dict(),
-                        )
-                    )
-                except Exception:
-                    task.attempts -= 1
-                    handle.kill()
-                    retire(handle)
-                    pool_failures += 1
-                    counters["pool_rebuilds"] += 1
-                    continue
-                ready.popleft()
-                handle.task = task
-                handle.attempt = task.attempts
-                handle.deadline = (
-                    now + task.timeout_s if task.timeout_s is not None else None
-                )
-                counters["dispatched"] += 1
-                spec, key = task.slot[2], task.slot[4]
-                if journal is not None and key is not None:
-                    journal.cell_dispatched(
-                        spec.name, key, task.attempts, handle.worker_id
-                    )
+                    record = json.loads(line)
+                except ValueError:
+                    continue  # a torn line: its cell counts as unreported
+                # A warm group's budget restarts with each record: its
+                # prefix and each forked cell get one cell budget apiece.
+                child.refresh_deadline()
+                if record["kind"] == "cell":
+                    child.cells[int(record["index"])] = record
+                else:
+                    self._on_prefix(child.task, record)
+        now = _clock()
+        for child in list(self.running.values()):
+            if child.deadline is not None and now >= child.deadline:
+                self._timeout(child)
 
-            if unfinished <= 0:
-                break
+    def _on_prefix(self, task: _Task, record: Dict[str, Any]) -> None:
+        """Record a prefix's digest; shout if it drifted from a prior run."""
+        run, spec = self.run_state, task.slots[0].spec
+        key = warm_prefix_key(spec, run.scale, task.group)
+        if record["kind"] == "prefix-error":
+            if run.journal is not None:
+                run.journal.note("warm_prefix_failed", experiment=spec.name, key=key,
+                                 error=record["error"])
+            return
+        if run.cache is None or "digest" not in record:
+            return
+        digest = record["digest"]
+        prior = run.cache.get_prefix(spec.name, key)
+        if prior is not None and prior.get("digest") != digest:
+            sys.stderr.write(f"warning: warmup prefix for {spec.name} (key {key[:12]}) "
+                             f"diverged from the recorded digest: "
+                             f"{str(prior.get('digest'))[:16]}… -> {digest[:16]}…\n")
+            if run.journal is not None:
+                run.journal.note("warm_prefix_divergence", experiment=spec.name, key=key,
+                                 recorded=prior.get("digest"), observed=digest)
+        run.cache.put_prefix(spec.name, key, {
+            "events": record["events"], "sim_time": record["sim_time"], "digest": digest,
+            "group": task.group, "scale": scale_to_dict(run.scale),
+        })
 
-            # Wait for a result (bounded so deadlines/liveness stay fresh).
+    def _reap(self, child: _Child, kill: bool = False) -> int:
+        """Close the child's pipe and collect its exit status."""
+        del self.running[child.fd]
+        if kill:
             try:
-                message = result_queue.get(timeout=cfg.poll_s)
-            except queue_mod.Empty:
-                message = None
-            if message is not None:
-                task_id, attempt, ok, body, wall_s = message
-                task = tasks.get(task_id)
-                handle = next((w for w in workers if w.task is task), None)
-                worker_id = handle.worker_id if handle is not None else "w?"
-                if handle is not None and handle.attempt == attempt:
-                    handle.task = None
-                    handle.deadline = None
-                if task is not None and not task.finished:
-                    if ok:
-                        # A success is a success even if this attempt was
-                        # already abandoned: the payload is a pure function
-                        # of the cell, so the bytes are identical.
-                        settle_success(task, body, attempt, wall_s, worker_id)
-                    elif attempt == task.attempts:
-                        retry_or_fail(task, "exception", body, worker_id)
-                    # else: stale failure from an abandoned attempt; the
-                    # retry is already scheduled.
+                os.killpg(child.pid, signal.SIGKILL)  # the leader and its grandchild
+            except OSError:
+                pass
+        os.close(child.fd)
+        return os.waitpid(child.pid, 0)[1]
 
-            # Deadline + liveness sweep.
-            now = _monotonic()
-            for handle in list(workers):
-                if handle.task is None:
-                    if not handle.proc.is_alive():
-                        retire(handle)
-                    continue
-                if handle.task.finished:
-                    handle.task = None
-                    handle.deadline = None
-                    continue
-                if not handle.proc.is_alive():
-                    exit_code = handle.proc.exitcode
-                    handle_worker_loss(
-                        handle,
-                        "worker-died",
-                        f"worker process died (exit code {exit_code})",
-                    )
-                    counters["pool_rebuilds"] += 1
-                elif handle.deadline is not None and now >= handle.deadline:
-                    task = handle.task
-                    counters["timeouts"] += 1
-                    counters["pool_rebuilds"] += 1
-                    spec, key = task.slot[2], task.slot[4]
-                    final = task.attempts > cfg.max_retries or interrupted
-                    if journal is not None and key is not None:
-                        journal.cell_timeout(
-                            spec.name, key, task.attempts, task.timeout_s,
-                            final, handle.worker_id,
-                        )
-                    handle.kill()
-                    handle_worker_loss(
-                        handle,
-                        "timeout",
-                        f"cell exceeded {task.timeout_s:.1f}s wall-clock budget",
-                    )
+    def _final(self, task: _Task) -> bool:
+        return task.attempts > self.config.max_retries or self.run_state.report.interrupted
 
-            if interrupted and not any(w.task is not None for w in workers):
-                break
-    finally:
-        for handle in list(workers):
-            handle.shutdown()
-        result_queue.close()
+    def _timeout(self, child: _Child) -> None:
+        task, journal = child.task, self.run_state.journal
+        self.counters["timeouts"] += 1
+        self.counters["pool_rebuilds"] += 1
+        late = next((s for i, s in enumerate(task.slots) if i not in child.cells), None)
+        if journal is not None and late is not None and late.key is not None:
+            journal.cell_timeout(late.spec.name, late.key, task.attempts, child.budget,
+                                 task.group is None and self._final(task), child.worker)
+        self._settle(child, self._reap(child, kill=True), timed_out=True)
 
-    if degraded:
-        counters["degraded_serial"] = 1
-        if journal is not None:
-            journal.note(
-                "degraded_serial",
-                reason=f"pool failed {pool_failures} times in a row",
-            )
-        leftovers = sorted(
-            (task.slot for task in tasks.values() if not task.finished),
-            key=lambda slot: (slot[0], slot[1]),
-        )
-        _run_inline(leftovers, "inline-degraded")
+    def _settle(self, child: _Child, status: int, timed_out: bool) -> None:
+        """Hand out a finished child's payloads; retry or fail the rest."""
+        run, task = self.run_state, child.task
+        if task.group is not None:
+            self.counters["warm_groups"] += 1
+            for index, slot in enumerate(task.slots):
+                record = child.cells.get(index)
+                if record is not None and record["ok"]:
+                    self.failures_in_row = 0
+                    self.counters["warm_cells"] += 1
+                    run.finish(slot, record["payload"], 1, record["wall_s"], child.worker)
+                elif run.report.interrupted:
+                    run.report.skipped += 1
+                else:
+                    # Died, hung, or raised warm: rerun cold, so a real
+                    # workload error surfaces through the ordinary path.
+                    self.queue.append(_Task([slot]))
+            return
+        slot, record = task.slots[0], child.cells.get(0)
+        if record is not None and record["ok"]:
+            self.failures_in_row = 0
+            run.finish(slot, record["payload"], task.attempts, record["wall_s"], child.worker)
+            return
+        if record is not None:
+            kind, error = "exception", record["error"]
+        elif timed_out:
+            kind, error = "timeout", f"cell exceeded {child.budget:.1f}s wall-clock budget"
+        else:
+            kind = "worker-died"
+            error = f"worker process died (exit code {os.waitstatus_to_exitcode(status)})"
+            self.counters["worker_deaths"] += 1
+            self.counters["pool_rebuilds"] += 1
+            self.failures_in_row += 1
+            if run.journal is not None:
+                run.journal.note("worker_died", worker=child.worker,
+                                 cell=_label(slot.spec.name, slot.cell.as_dict()))
+        final = self._final(task)
+        run.fail(slot, kind, error, task.attempts, child.worker, final=final)
+        if not final:
+            self.counters["retries"] += 1
+            self.waiting.append((_clock() + BACKOFF_S * 2 ** (task.attempts - 1), task))
 
 
 # ----------------------------------------------------------------------
@@ -1262,19 +848,15 @@ def plan_resume(state: RunState, *, retry_failed: bool = False) -> ResumePlan:
         if recorded is None:
             continue  # never reached before the crash; nothing to verify
         current = [cell_key(spec, scale, cell) for cell in spec.cells(scale)]
-        if list(recorded.keys()) != current:
-            fp_then = state.fingerprints.get(spec.name, "?")
-            fp_now = spec_fingerprint(spec)
-            if fp_then != fp_now:
-                detail = (
-                    f"source fingerprint changed ({fp_then[:12]} -> {fp_now[:12]})"
-                )
-            else:
-                detail = (
-                    f"cell grid changed ({len(recorded)} recorded vs "
-                    f"{len(current)} current cells)"
-                )
-            mismatches.append(f"{spec.name}: {detail}")
+        if list(recorded.keys()) == current:
+            continue
+        fp_then = state.fingerprints.get(spec.name, "?")
+        fp_now = spec_fingerprint(spec)
+        if fp_then != fp_now:
+            detail = f"source fingerprint changed ({fp_then[:12]} -> {fp_now[:12]})"
+        else:
+            detail = f"cell grid changed ({len(recorded)} recorded vs {len(current)} current cells)"
+        mismatches.append(f"{spec.name}: {detail}")
 
     skip: Dict[Tuple[str, str], CellFailure] = {}
     if not retry_failed:
@@ -1287,14 +869,8 @@ def plan_resume(state: RunState, *, retry_failed: bool = False) -> ResumePlan:
                 error=record.error or record.state,
                 attempts=record.attempts,
             )
-    return ResumePlan(
-        state=state,
-        specs=specs,
-        scale=scale,
-        jobs=state.jobs,
-        skip_failed=skip,
-        mismatches=mismatches,
-    )
+    return ResumePlan(state=state, specs=specs, scale=scale, jobs=state.jobs,
+                      skip_failed=skip, mismatches=mismatches)
 
 
 def run_spec(
@@ -1303,20 +879,12 @@ def run_spec(
     *,
     jobs: int = 1,
     cache: Optional[CellCache] = None,
-    executor: Optional[Executor] = None,
     cells: Optional[Sequence[Cell]] = None,
     observation: Optional[Any] = None,
 ) -> ExperimentResult:
     """Run one experiment and return its merged result."""
-    return execute(
-        [spec],
-        scale,
-        jobs=jobs,
-        cache=cache,
-        executor=executor,
-        cells_override=cells,
-        observation=observation,
-    ).results[0]
+    return execute([spec], scale, jobs=jobs, cache=cache, cells_override=cells,
+                   observation=observation).results[0]
 
 
 def run_specs(
@@ -1325,10 +893,7 @@ def run_specs(
     *,
     jobs: int = 1,
     cache: Optional[CellCache] = None,
-    executor: Optional[Executor] = None,
     observation: Optional[Any] = None,
 ) -> List[ExperimentResult]:
     """Run several experiments; results follow the requested order."""
-    return execute(
-        specs, scale, jobs=jobs, cache=cache, executor=executor, observation=observation
-    ).results
+    return execute(specs, scale, jobs=jobs, cache=cache, observation=observation).results

@@ -339,7 +339,7 @@ class RunJournal:
         )
 
     def note(self, name: str, **fields: Any) -> None:
-        """A run-level supervision event (``worker_died``, ``pool_rebuild``,
+        """A run-level supervision event (``worker_died``,
         ``degraded_serial``, ``signal``, ``resume`` …)."""
         record: Dict[str, Any] = {"t": "note", "name": name}
         record.update(fields)

@@ -72,9 +72,10 @@ class WarmupSpec:
     The contract that keeps warm-start byte-identical to cold execution:
     ``cell_fn(scale, params)`` must equal
     ``finish(scale, params, prefix(scale, group(params)))`` — the spec's
-    ``cell_fn`` should literally be that composition, so cold paths
-    (supervised pools, ``--no-warm-start``) and the forking warm-start
-    executor in :mod:`repro.experiments.engine` run the same code.
+    ``cell_fn`` should literally be that composition, so cold cells
+    (observed or checkpointed runs, ``--no-warm-start``, and cells a warm
+    group failed to report) and warm groups forked by
+    :mod:`repro.experiments.engine` run the same code.
     ``finish`` runs in a forked child per cell, so its mutations of
     ``ctx`` never leak between cells.
     """
@@ -108,8 +109,8 @@ class ExperimentSpec:
     #: this, so one ``--timeout`` budget fits light and heavy grids alike.
     cost_hint: float = 1.0
     #: Declared shared-warmup structure (None = every cell is cold).
-    #: See :class:`WarmupSpec`; the engine's serial path exploits it by
-    #: simulating each warmup prefix once and forking cells from it.
+    #: See :class:`WarmupSpec`; the engine exploits it by simulating each
+    #: warmup prefix once and forking cells from it.
     warmup: "WarmupSpec | None" = None
 
 

@@ -145,7 +145,7 @@ def run_timeline(state: Any) -> Dict[str, Any]:
     """Render a replayed run journal (:class:`repro.experiments.journal.RunState`)
     as a Chrome trace: one track per worker, one slice per cell attempt
     (``dispatched`` → ``done``/``failed``/``timeout``), one instant per
-    supervision note (worker deaths, pool rebuilds, signals, resumes).
+    supervision note (worker deaths, degraded runs, signals, resumes).
 
     This is the *host* timeline — wall-clock seconds since the run header,
     scaled to trace microseconds — and deliberately lives in a separate

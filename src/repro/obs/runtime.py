@@ -39,12 +39,6 @@ class Observation:
         #: When true, keep a reference to every built system's registry so
         #: the CLI can dump metrics after the run.
         self.collect_metrics = metrics
-        #: When true (the default), the engine skips cache *reads* for
-        #: observed runs — a cached payload would emit no spans/metrics.
-        #: Checkpoint instrumentation sets this false: it only needs the
-        #: ``on_system`` hook, and a cache hit is still a valid (and
-        #: desirable, for ``--resume``) outcome.
-        self.bypass_cache = True
         #: When true, attach a fresh
         #: :class:`repro.check.sanitizer.SimSanitizer` to every built
         #: system and keep it for post-run hazard reporting.

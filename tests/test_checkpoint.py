@@ -43,6 +43,9 @@ from repro.sim.checkpoint import (
     snapshot_system,
     state_digest,
 )
+from repro.experiments.engine import execute, scale_to_dict
+from repro.experiments.journal import RunJournal, load_state
+from repro.experiments.runner import QUICK
 from repro.faults import read_error_plan
 from tests.helpers import build_mapped_system
 
@@ -370,6 +373,58 @@ class TestFreshProcessResume:
                 path, record["events"], record["digest"]
             )
             assert resumed == summary, f"{path}: resumed run diverged"
+
+
+# ----------------------------------------------------------------------
+# checkpointing through the experiment engine
+# ----------------------------------------------------------------------
+class TestEngineCheckpointing:
+    """``checkpoint_interval`` / ``resume_checkpoints`` on fig11's two cells."""
+
+    INTERVAL = 200
+
+    def _journaled_run(self, tmp_path, run_id, **kwargs):
+        journal = RunJournal.create(
+            scale=scale_to_dict(QUICK), jobs=1, specs=["fig11"], run_id=run_id,
+            root=tmp_path, checkpoint_interval=self.INTERVAL,
+        )
+        report = execute(
+            ["fig11"], QUICK, journal=journal, checkpoint_interval=self.INTERVAL,
+            raise_on_failure=False, **kwargs,
+        )
+        journal.close()
+        return report, load_state(tmp_path / run_id)
+
+    def test_interval_journals_checkpoint_records(self, tmp_path):
+        report, state = self._journaled_run(tmp_path, "ckpt")
+        assert report.failures == []
+        assert report.results[0].to_text() == execute(["fig11"], QUICK).results[0].to_text()
+        cells = state.cells["fig11"]
+        assert len(cells) == 2
+        for record in cells.values():
+            assert record.state == "done"
+            assert record.worker == "inline-ckpt"
+            assert record.checkpoints, "no checkpoint journaled for a real cell"
+            assert all(cp["events"] % self.INTERVAL == 0 for cp in record.checkpoints)
+
+    def test_tampered_digest_fails_only_its_cell(self, tmp_path):
+        _, state = self._journaled_run(tmp_path, "original")
+        recorded = {
+            ("fig11", key): [dict(cp) for cp in record.checkpoints]
+            for key, record in state.cells["fig11"].items()
+        }
+        victim_key = next(iter(state.cells["fig11"]))
+        victim = recorded[("fig11", victim_key)][1]
+        victim["digest"] = "0" * 64
+
+        report, _ = self._journaled_run(tmp_path, "resumed", resume_checkpoints=recorded)
+        assert len(report.failures) == 1
+        failure = report.failures[0]
+        assert failure.key == victim_key
+        assert failure.kind == "exception"
+        assert "CheckpointError" in failure.error
+        assert f"diverged at event {victim['events']}" in failure.error
+        assert report.computed == 1, "the untampered cell still verified and ran"
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """Tests for supervised execution: worker death, timeouts, retries, resume.
 
 The fault-injected specs register themselves in this test process; the
-supervised pool forks its workers, so the registrations (and their
-closures) are inherited — no pickling of cell functions ever happens
-(tasks cross the process boundary as ``(spec name, scale dict, params)``).
+forked-task runner forks one child per task, so the spec objects (and
+their closures) are inherited — no pickling of cell functions ever
+happens, and only payloads cross the process boundary, as JSON lines.
 Fault injection is sentinel-file based: attempt 1 finds no sentinel,
 drops it, and dies/hangs; the retry finds it and succeeds, so the final
 payload is exactly what a healthy serial run would produce.
@@ -102,7 +102,7 @@ def test_worker_death_is_retried_and_result_matches_serial(tmp_path, synthetic):
     )
     report = execute(
         [spec], QUICK, jobs=2, journal=journal,
-        supervise=SupervisorConfig(max_retries=1, backoff_s=0.01),
+        supervise=SupervisorConfig(max_retries=1),
     )
     journal.close()
     assert report.failures == []
@@ -136,7 +136,7 @@ def test_exhausted_retries_become_collected_failures(tmp_path, synthetic):
     with pytest.raises(ExperimentFailure) as excinfo:
         execute(
             [spec], QUICK, jobs=2,
-            supervise=SupervisorConfig(max_retries=1, backoff_s=0.01),
+            supervise=SupervisorConfig(max_retries=1),
         )
     failures = excinfo.value.failures
     assert len(failures) == 1
@@ -147,7 +147,7 @@ def test_exhausted_retries_become_collected_failures(tmp_path, synthetic):
     # computes the surviving cells and skips the merge for the broken spec.
     report = execute(
         [spec], QUICK, jobs=2, raise_on_failure=False,
-        supervise=SupervisorConfig(max_retries=0, backoff_s=0.01),
+        supervise=SupervisorConfig(max_retries=0),
     )
     assert report.incomplete == [spec.name]
     assert report.computed == 2
@@ -173,9 +173,7 @@ def test_hung_cell_times_out_and_retry_succeeds(tmp_path, synthetic):
     )
     report = execute(
         [spec], QUICK, jobs=2, journal=journal,
-        supervise=SupervisorConfig(
-            timeout_s=1.0, max_retries=1, backoff_s=0.01, poll_s=0.02
-        ),
+        supervise=SupervisorConfig(timeout_s=1.0, max_retries=1),
     )
     journal.close()
     assert report.failures == []
