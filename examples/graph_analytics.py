@@ -12,9 +12,9 @@ Run:  python examples/graph_analytics.py [--vertices 6000]
 
 import argparse
 
-from repro.analysis import summarize
 from repro.config import PagingMode, SystemConfig, MemoryConfig
 from repro.core.system import build_system
+from repro.cpu.perf import aggregate
 from repro.workloads.graph import GraphBFS
 
 
@@ -37,21 +37,21 @@ def main() -> None:
     rows = {}
     for mode in (PagingMode.OSDP, PagingMode.HWDP):
         system, driver, elapsed = run_bfs(mode, args.vertices)
-        report = summarize(system, driver, elapsed)
-        rows[mode] = (elapsed, report, driver)
+        perf = aggregate(thread.perf for thread in driver.threads)
+        rows[mode] = (elapsed, perf, driver)
 
     print(f"{'metric':30s}  {'OSDP':>12s}  {'HWDP':>12s}")
-    osdp_elapsed, osdp_report, osdp_driver = rows[PagingMode.OSDP]
-    hwdp_elapsed, hwdp_report, hwdp_driver = rows[PagingMode.HWDP]
+    osdp_elapsed, osdp_perf, osdp_driver = rows[PagingMode.OSDP]
+    hwdp_elapsed, hwdp_perf, hwdp_driver = rows[PagingMode.HWDP]
     for label, osdp_value, hwdp_value in (
         ("traversal time (ms)", osdp_elapsed / 1e6, hwdp_elapsed / 1e6),
         ("vertices expanded / ms",
-         osdp_report.operations / (osdp_elapsed / 1e6),
-         hwdp_report.operations / (hwdp_elapsed / 1e6)),
+         osdp_perf.operations / (osdp_elapsed / 1e6),
+         hwdp_perf.operations / (hwdp_elapsed / 1e6)),
         ("mean expansion latency (us)",
          osdp_driver.op_latency.mean / 1e3, hwdp_driver.op_latency.mean / 1e3),
         ("kernel instructions",
-         osdp_report.kernel_instructions, hwdp_report.kernel_instructions),
+         osdp_perf.kernel_instructions, hwdp_perf.kernel_instructions),
     ):
         print(f"{label:30s}  {osdp_value:12,.2f}  {hwdp_value:12,.2f}")
     print(

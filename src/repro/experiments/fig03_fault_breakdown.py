@@ -5,10 +5,10 @@ aggregate software overhead as 76.3 % of the device time on an ultra-low
 latency SSD.  Reproduced two ways and cross-checked:
 
 * the machine's configured cost table (the calibration itself), and
-* a *measured* per-phase breakdown from live phase traces of a one-thread
-  FIO run (``repro.analysis.phases``) — each phase's mean time per fault
-  must agree with the table, and the measured mean fault latency must be
-  device time + critical-path overhead.
+* a *measured* per-phase breakdown from the ``osdp`` miss spans of a
+  one-thread FIO run (:func:`repro.obs.span_breakdown`) — each phase's
+  mean time per fault must agree with the table, and the measured mean
+  fault latency must be device time + critical-path overhead.
 
 A single traced run feeds the whole table, so this spec has one cell.
 """
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.analysis.phases import aggregate_phases, enable_tracing, merge_traces
 from repro.config import PagingMode
 from repro.experiments.registry import Cell, ExperimentSpec, register
 from repro.experiments.runner import (
@@ -26,6 +25,7 @@ from repro.experiments.runner import (
     ExperimentScale,
     build,
 )
+from repro.obs import PATH_OSDP, TraceSink, span_breakdown
 from repro.workloads.fio import FioRandomRead
 
 #: Cost-table phase name → traced phase name.
@@ -56,21 +56,32 @@ def _cell(scale: ExperimentScale, params: Dict) -> Dict:
         file_pages=scale.memory_frames * 4,
     )
     driver.prepare(system, num_threads=1)
-    enable_tracing(driver.threads)
+    # Under ``--trace`` the CLI's sink is already attached: share it (a
+    # second sink would take ``sim.trace`` over) and read only the spans
+    # the measured run adds.
+    sink = system.sim.trace
+    if sink is None:
+        sink = TraceSink()
+        sink.attach(system.sim, unit="fig03")
+    first_span = len(sink.spans)
     system.run(driver.launch(system))
 
     costs = system.config.osdp_costs
     faults = driver.threads[0].perf.translations["os-fault"]
-    breakdown = aggregate_phases(merge_traces(driver.threads))
+    # Kernel phases only: the device row already reports device_service.
+    breakdown = span_breakdown(sink.spans[first_span:], PATH_OSDP)
+    traced_totals = {
+        name: total
+        for name, total in breakdown.totals_ns.items()
+        if name in _TRACE_NAMES.values()
+    }
     return {
         "device_ns": system.device.read_device_time.mean,
         "measured_total": driver.threads[0].perf.miss_latency["os-fault"].mean,
         "faults": faults,
         "phase_table": [[phase, ns] for phase, ns in costs.phase_table().items()],
-        "traced_totals": {
-            name: total for name, total in breakdown.totals_ns.items()
-        },
-        "traced_total_ns": breakdown.total_ns,
+        "traced_totals": traced_totals,
+        "traced_total_ns": sum(traced_totals.values()),
         "critical_path_ns": costs.critical_path_ns,
     }
 

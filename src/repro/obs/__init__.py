@@ -15,6 +15,7 @@ Public surface:
 """
 
 from repro.obs.export import (
+    PhaseBreakdown,
     breakdown_report,
     chrome_trace,
     span_breakdown,
@@ -46,6 +47,7 @@ __all__ = [
     "write_chrome_trace",
     "validate_chrome_trace",
     "span_breakdown",
+    "PhaseBreakdown",
     "breakdown_report",
     "COMPLETED",
     "COALESCED",

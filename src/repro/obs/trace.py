@@ -37,9 +37,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.sim.observe import SimObserver
 
-#: One typed span event: ``(sim_time_ns, name, duration_ns)`` — the same
-#: shape as :data:`repro.analysis.phases.PhaseEvent`, so span events feed
-#: :func:`repro.analysis.phases.aggregate_phases` directly.
+#: One typed span event: ``(sim_time_ns, name, duration_ns)``;
+#: :func:`repro.obs.export.span_breakdown` aggregates them by name.
 SpanEvent = Tuple[float, str, float]
 
 #: Span outcomes.
