@@ -30,9 +30,7 @@ from repro.config import (
     ZSSD,
 )
 from repro.core.system import System, build_system
-from repro.mem.address import PAGE_SHIFT
 from repro.os.vma import Vma
-from repro.vm.pte import decode_pte
 from repro.workloads.distributions import fnv1a_64
 
 
@@ -140,22 +138,12 @@ def prewarm_pages(system: System, thread: Any, vma: Vma, pages: Iterable[int]) -
     Reproduces the state a long run converges to: memory holds the access
     distribution's hot set, fully registered in page cache and LRU.
     Insertion order is coldest-first so the LRU evicts cold pages first.
+    The budget leaves the watermark reserve free, so the frame pool never
+    runs dry here.
     """
-    kernel = system.kernel
-    budget = usable_data_frames(system)
-    installed = 0
-    for page_index in pages:
-        if installed >= budget:
-            break
-        vaddr = vma.start + (page_index << PAGE_SHIFT)
-        if decode_pte(thread.process.page_table.get_pte(vaddr)).present:
-            continue
-        pfn = kernel.frame_pool.try_alloc()
-        if pfn < 0:
-            break
-        kernel.install_resident_page(thread.process, vma, vaddr, pfn)
-        installed += 1
-    return installed
+    return system.kernel.install_resident_pages(
+        thread.process, vma, pages, usable_data_frames(system)
+    )
 
 
 def zipfian_hot_pages(dataset_pages: int, count: int) -> List[int]:

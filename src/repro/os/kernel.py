@@ -16,7 +16,7 @@ layer and fault handler, and implements the paper's OS support (§IV):
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional
+from typing import Any, Generator, Iterable, List, Optional
 
 from repro.config import PagingMode, SystemConfig
 from repro.cpu.core import CpuComplex
@@ -34,6 +34,9 @@ from repro.os.vma import MmapFlags, Vma
 from repro.sim import Counter, Signal, Simulator
 from repro.storage.nvme import NVMeDevice
 from repro.vm.pte import (
+    LBA_SHIFT,
+    PFN_SHIFT,
+    PRESENT_BIT,
     PteStatus,
     decode_pte,
     evict_to_lba,
@@ -330,10 +333,98 @@ class Kernel:
         process.page_table.set_pte(
             vaddr, make_present_pte(pfn, writable=vma.writable)
         )
+        self._add_mapping(process, vma, vaddr, pfn)
+
+    def _add_mapping(
+        self, process: ProcessContext, vma: Vma, vaddr: int, pfn: int
+    ) -> None:
+        """Reverse-map a new PTE onto a cached frame and count the touch."""
         page = self._page_info.get(pfn)
         if page is not None and (process, vma, vaddr) not in page.extra_mappings:
             page.extra_mappings.append((process, vma, vaddr))
         self.reclaim.touch(pfn)
+
+    def install_resident_pages(
+        self,
+        process: ProcessContext,
+        vma: Vma,
+        indices: Iterable[int],
+        budget: int,
+        map_cached: bool = False,
+    ) -> int:
+        """Bulk :meth:`install_resident_page` over VMA page ``indices``.
+
+        MAP_POPULATE and the experiments' pre-warm install pages this way,
+        in no simulated time.  Pages in order: a present page is skipped;
+        with ``map_cached`` a page-cached file page is mapped as a minor
+        fault maps it; any other page gets a fresh frame as a synced
+        resident.  Stops after ``budget`` fresh frames and returns how many
+        it installed; a dry frame pool raises :class:`OutOfMemoryError`.
+        """
+        table = process.page_table
+        pool = self.frame_pool
+        file = vma.file
+        present_pte = make_present_pte(0, writable=vma.writable)
+        sink = self.sim.trace
+        installed = 0
+        for index in indices:
+            if installed >= budget:
+                break
+            vaddr = vma.start + (index << PAGE_SHIFT)
+            walk = table.walk(vaddr)
+            if walk.pte & PRESENT_BIT:
+                continue
+            file_page = None if file is None else vma.file_page_offset + index
+            if map_cached and file is not None:
+                cached = self.page_cache.lookup(file, file_page)
+                if cached is not None:
+                    self.map_cached_page(process, vma, vaddr, cached)
+                    continue
+            pfn = pool.try_alloc()  # repro: allow[REP111] reason=the frame passes to the PageInfo _track_resident records below, as in install_resident_page
+            if pfn < 0:
+                raise OutOfMemoryError(
+                    f"resident install of {vma.num_pages} pages does not fit in memory"
+                )
+            value = present_pte | (pfn << PFN_SHIFT)
+            if walk.complete:
+                table.write_entry(walk.pte_addr, value)
+            else:
+                table.set_pte(vaddr, value)
+            self._track_resident(process, vma, vaddr, pfn, file_page)
+            if sink is not None:
+                sink.instant("kernel.pte_install", vaddr=f"{vaddr:#x}", pfn=pfn)
+            installed += 1
+        return installed
+
+    def _fastmap_fill(
+        self, process: ProcessContext, vma: Vma, first: int, count: int
+    ) -> None:
+        """Fast-mmap population of VMA pages ``[first, first + count)``.
+
+        A page-cached file page maps its frame, reverse-mapped as
+        :meth:`map_cached_page` does; every other PTE is LBA-augmented with
+        its block (§IV-B), or with the first-touch constant for anonymous
+        memory (§V).
+        """
+        file = vma.file
+        writable = vma.writable
+        start = vma.start + (first << PAGE_SHIFT)
+        if file is None:
+            values = [make_anon_lba_pte(writable=writable)] * count
+            process.page_table.set_ptes(start, values)
+            return
+        file_page = vma.file_page_offset + first
+        cached = self.page_cache.lookup_range(file, file_page, count)
+        lba_pte = make_lba_pte(0, writable=writable)
+        present_pte = make_present_pte(0, writable=writable)
+        values = [
+            lba_pte | (lba << LBA_SHIFT) if pfn is None else present_pte | (pfn << PFN_SHIFT)
+            for lba, pfn in zip(file.page_lbas[file_page : file_page + count], cached)
+        ]
+        process.page_table.set_ptes(start, values)
+        for offset, pfn in enumerate(cached):
+            if pfn is not None:
+                self._add_mapping(process, vma, start + (offset << PAGE_SHIFT), pfn)
 
     def hw_install_page(
         self, process: ProcessContext, vma: Vma, vaddr: int, walk: Any, pfn: int
@@ -365,10 +456,16 @@ class Kernel:
         return True
 
     def _track_resident(
-        self, process: ProcessContext, vma: Vma, vaddr: int, pfn: int
+        self,
+        process: ProcessContext,
+        vma: Vma,
+        vaddr: int,
+        pfn: int,
+        file_page: Optional[int] = None,
     ) -> None:
         file = vma.file
-        file_page = vma.file_page_of(vaddr) if file is not None else None
+        if file is not None and file_page is None:
+            file_page = vma.file_page_of(vaddr)
         page = PageInfo(
             pfn=pfn,
             process=process,
@@ -528,55 +625,21 @@ class Kernel:
         )
         process.layout.insert(vma)
 
-        if (
-            flags & MmapFlags.FASTMAP
-            and file is None
-            and self.mode is not PagingMode.OSDP
-        ):
-            # §V anonymous extension: populate every PTE with the reserved
-            # first-touch constant so the SMU zero-fills without I/O.
+        if flags & MmapFlags.FASTMAP and self.mode is not PagingMode.OSDP:
+            if file is not None:
+                file.fastmap_marked = True
+            # Populate every PTE with the cached frame, the LBA, or the
+            # anonymous first-touch constant — the whole-table population
+            # the paper discusses (0.2 % space).
             for begin in range(0, num_pages, _CHARGE_BATCH * 8):
                 count = min(_CHARGE_BATCH * 8, num_pages - begin)
-                for index in range(begin, begin + count):
-                    process.page_table.set_pte(
-                        start + (index << PAGE_SHIFT),
-                        make_anon_lba_pte(writable=writable),
-                    )
+                self._fastmap_fill(process, vma, begin, count)
                 yield from thread.kernel_phase(
                     _MMAP_POPULATE_PTE_NS * count, "mmap_populate"
                 )
-            self.counters.add("mmap.anon_fastmap_areas")
-
-        fastmap_active = (
-            bool(flags & MmapFlags.FASTMAP)
-            and file is not None
-            and self.mode is not PagingMode.OSDP
-        )
-        if fastmap_active:
-            file.fastmap_marked = True
-            # Populate every PTE with either the cached frame or the LBA —
-            # the whole-table population the paper discusses (0.2 % space).
-            pages = list(range(num_pages))
-            for begin in range(0, num_pages, _CHARGE_BATCH * 8):
-                chunk = pages[begin : begin + _CHARGE_BATCH * 8]
-                for index in chunk:
-                    vaddr = start + (index << PAGE_SHIFT)
-                    file_page = file_page_offset + index
-                    cached = self.page_cache.lookup(file, file_page)
-                    if cached is not None:
-                        process.page_table.set_pte(
-                            vaddr, make_present_pte(cached, writable=writable)
-                        )
-                        self.reclaim.touch(cached)
-                    else:
-                        lba = file.lba_of_page(file_page)
-                        process.page_table.set_pte(
-                            vaddr, make_lba_pte(lba, writable=writable)
-                        )
-                yield from thread.kernel_phase(
-                    _MMAP_POPULATE_PTE_NS * len(chunk), "mmap_populate"
-                )
-            self.counters.add("mmap.fastmap_areas")
+            self.counters.add(
+                "mmap.fastmap_areas" if file is not None else "mmap.anon_fastmap_areas"
+            )
 
         if flags & MmapFlags.POPULATE:
             yield from self._populate(thread, vma)
@@ -590,21 +653,9 @@ class Kernel:
         """
         for begin in range(0, vma.num_pages, _CHARGE_BATCH * 4):
             count = min(_CHARGE_BATCH * 4, vma.num_pages - begin)
-            for index in range(begin, begin + count):
-                vaddr = vma.start + (index << PAGE_SHIFT)
-                if decode_pte(thread.process.page_table.get_pte(vaddr)).present:
-                    continue
-                if vma.file is not None:
-                    cached = self.page_cache.lookup(vma.file, vma.file_page_of(vaddr))
-                    if cached is not None:
-                        self.map_cached_page(thread.process, vma, vaddr, cached)
-                        continue
-                pfn = self.frame_pool.try_alloc()
-                if pfn < 0:
-                    raise OutOfMemoryError(
-                        "MAP_POPULATE dataset does not fit in memory"
-                    )
-                self.install_resident_page(thread.process, vma, vaddr, pfn)
+            self.install_resident_pages(
+                thread.process, vma, range(begin, begin + count), count, map_cached=True
+            )
             yield from thread.kernel_phase(150.0 * count, "populate")
         self.counters.add("mmap.populated_pages", vma.num_pages)
 

@@ -8,7 +8,7 @@ paths insert freshly read pages, kpted inserts hardware-handled pages
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import KernelError
 from repro.os.filesystem import File
@@ -35,6 +35,15 @@ class PageCache:
         if pfn is not None:
             self.hits += 1
         return pfn
+
+    def lookup_range(self, file: File, first: int, count: int) -> List[Optional[int]]:
+        """:meth:`lookup` of ``count`` consecutive pages from ``first``."""
+        get = self._pages.get
+        ino = file.ino
+        pfns = [get((ino, page)) for page in range(first, first + count)]
+        self.lookups += count
+        self.hits += count - pfns.count(None)
+        return pfns
 
     def insert(self, file: File, page_index: int, pfn: int) -> None:
         key = self._key(file, page_index)

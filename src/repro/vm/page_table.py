@@ -15,7 +15,7 @@ awaiting OS metadata sync" meaning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import AddressError, PageTableError
 from repro.mem.address import (
@@ -152,8 +152,18 @@ class PageTable:
         )
 
     def get_pte(self, vaddr: int) -> int:
-        """Raw leaf PTE value (0 when unmapped)."""
-        return self.walk(vaddr).pte
+        """Raw leaf PTE value (0 when unmapped): :meth:`walk`'s descent
+        without building a :class:`WalkResult`."""
+        if not 0 <= vaddr < VA_LIMIT:
+            raise AddressError(f"virtual address {vaddr:#x} outside {VA_BITS}-bit space")
+        table = self.root.children.get((vaddr >> 39) & 511)
+        if table is not None:
+            table = table.children.get((vaddr >> 30) & 511)
+        if table is not None:
+            table = table.children.get((vaddr >> 21) & 511)
+        if table is None:
+            return 0
+        return table.entries[(vaddr >> 12) & 511]
 
     # ------------------------------------------------------------------
     # mutation
@@ -197,6 +207,44 @@ class PageTable:
             pud_entry_addr,
             LEVELS,
         )
+
+    def set_ptes(self, vaddr: int, values: Sequence[int]) -> None:
+        """Write ``values`` to the leaf PTEs of consecutive pages from ``vaddr``.
+
+        The bulk form of :meth:`set_pte`: one descent per leaf table, then
+        one slice write of up to 512 entries.  Missing tables are allocated
+        in the ascending order per-page writes allocate them, so table
+        addresses and ``populated_ptes`` equal those of a :meth:`set_pte`
+        loop, and a sanitizer records one write per PTE.
+        """
+        count = len(values)
+        if count == 0:
+            return
+        if vaddr < 0 or vaddr + ((count - 1) << PAGE_SHIFT) >= VA_LIMIT:
+            raise AddressError(
+                f"{count} pages from {vaddr:#x} leave the {VA_BITS}-bit space"
+            )
+        done = 0
+        while done < count:
+            address = vaddr + (done << PAGE_SHIFT)
+            node = self.root
+            for shift in (39, 30, 21):
+                index = (address >> shift) & 511
+                child = node.children.get(index)
+                if child is None:
+                    child = self._child(node, index, True)
+                node = child
+            first = (address >> PAGE_SHIFT) & 511
+            take = min(ENTRIES_PER_TABLE - first, count - done)
+            if self._sanitizer is not None:
+                for _ in range(take):
+                    self._sanitizer.note_write(self)
+            entries = node.entries
+            stop = first + take
+            new = values[done : done + take]
+            self.populated_ptes += entries[first:stop].count(0) - new.count(0)
+            entries[first:stop] = new
+            done += take
 
     def clear_pte(self, vaddr: int) -> int:
         """Zero the leaf PTE; returns the previous value (0 if none)."""
@@ -307,12 +355,10 @@ class PageTable:
         for pgd_index, pud_table in sorted(self.root.children.items()):
             for pud_index, pmd_table in sorted(pud_table.children.items()):
                 for pmd_index, leaf in sorted(pmd_table.children.items()):
-                    for pte_index in range(ENTRIES_PER_TABLE):
-                        value = leaf.entries[pte_index]
+                    base = self._vpn_of(pgd_index, pud_index, pmd_index, 0)
+                    for pte_index, value in enumerate(leaf.entries):
                         if value != 0:
-                            yield self._vpn_of(
-                                pgd_index, pud_index, pmd_index, pte_index
-                            ), value
+                            yield base | pte_index, value
 
     def resident_pages(self) -> int:
         """Number of present leaf PTEs."""
