@@ -38,7 +38,15 @@ from typing import Any, Callable, Dict, Iterator, List, Optional
 from repro.errors import SmuError
 from repro.mem.address import PAGE_SIZE
 from repro.sim import Counter, Delay, WaitSignal, spawn
-from repro.vm.pte import PteStatus, decode_pte, is_anon_first_touch
+from repro.vm.pte import (
+    DEVICE_FIELD_MASK,
+    DEVICE_SHIFT,
+    LBA_BIT,
+    LBA_FIELD_MASK,
+    LBA_SHIFT,
+    PRESENT_BIT,
+    is_anon_first_touch,
+)
 
 #: Bytes per leaf page-table entry.
 _PTE_SIZE = 8
@@ -57,13 +65,11 @@ class Prefetcher:
         self.stats = Counter()
 
     # ------------------------------------------------------------------
-    def observe_demand_miss(
-        self, walk: Any, decoded: Any, page_table: Any, core_id: int = 0
-    ) -> None:
+    def observe_demand_miss(self, walk: Any, page_table: Any, core_id: int = 0) -> None:
         """Called by the SMU on every demand miss it accepts."""
         previous = self._last_demand_pte_addr
         self._last_demand_pte_addr = walk.pte_addr
-        self._record(previous, walk, decoded)
+        self._record(previous, walk)
         if self.degree <= 0:
             return
         targets = self._targets(previous, walk)
@@ -72,7 +78,7 @@ class Prefetcher:
         self._issue_prefetches(walk, page_table, core_id, targets)
 
     # -- policy hook points --------------------------------------------
-    def _record(self, previous: Optional[int], walk: Any, decoded: Any) -> None:
+    def _record(self, previous: Optional[int], walk: Any) -> None:
         """Train the predictor on one miss (runs even when degree is 0)."""
 
     def _targets(self, previous: Optional[int], walk: Any) -> Optional[Iterator[int]]:
@@ -94,10 +100,9 @@ class Prefetcher:
         free_queue = smu.kernel.free_queue_for(core_id)
         for target_addr in targets:
             value = page_table.read_entry(target_addr)
-            decoded = decode_pte(value)
-            if decoded.status is not PteStatus.NON_RESIDENT_HW:
-                continue
-            if is_anon_first_touch(decoded):
+            if value & (PRESENT_BIT | LBA_BIT) != LBA_BIT:
+                continue  # only non-resident LBA-augmented PTEs are fetched
+            if is_anon_first_touch(value):
                 continue  # nothing to read for first-touch anonymous pages
             if smu.pmshr.lookup(target_addr) is not None:
                 continue  # already being fetched (demand or prefetch)
@@ -116,14 +121,14 @@ class Prefetcher:
                 target_addr,
                 walk.pmd_entry_addr,
                 walk.pud_entry_addr,
-                decoded.device_id,
-                decoded.lba,
+                (value & DEVICE_FIELD_MASK) >> DEVICE_SHIFT,
+                (value & LBA_FIELD_MASK) >> LBA_SHIFT,
             )
             entry.pfn = pop.pfn
             self.stats.add("issued")
             spawn(
                 smu.sim,
-                self._prefetch_pipeline(entry, decoded, pop.pfn, page_table, free_queue),
+                self._prefetch_pipeline(entry, value, pop.pfn, page_table, free_queue),
                 f"smu-readahead-{entry.index}",
             )
 
@@ -138,10 +143,12 @@ class Prefetcher:
             self.stats.add("frames_returned_pool")
             self.smu.kernel.frame_pool.free(pfn)
 
-    def _prefetch_pipeline(self, entry, decoded, pfn: int, page_table, free_queue):
-        """Background hardware activity for one prefetch."""
+    def _prefetch_pipeline(self, entry, pte: int, pfn: int, page_table, free_queue):
+        """Background hardware activity for one prefetch of the
+        LBA-augmented leaf value ``pte``."""
         smu = self.smu
-        qp = smu.host.descriptor(decoded.device_id).qp
+        device_id = (pte & DEVICE_FIELD_MASK) >> DEVICE_SHIFT
+        qp = smu.host.descriptor(device_id).qp
         if qp.occupied >= qp.depth:
             # Prefetches never queue behind a full SQ — demand misses own
             # the backpressure path; a speculative read is simply dropped.
@@ -152,7 +159,9 @@ class Prefetcher:
         qp.reserved += 1
         yield Delay(smu.host.issue_latency_ns)
         io_done = smu._register_io(entry)
-        smu.host.issue_read(decoded.device_id, decoded.lba, pfn, entry.index, claimed=True)
+        smu.host.issue_read(
+            device_id, (pte & LBA_FIELD_MASK) >> LBA_SHIFT, pfn, entry.index, claimed=True
+        )
         yield WaitSignal(io_done)
         command = io_done.value
         if command is not None and not command.ok:
@@ -313,7 +322,7 @@ class MarkovPrefetcher(Prefetcher):
         super().__init__(smu, degree)
         self._transitions: "OrderedDict[int, OrderedDict[int, int]]" = OrderedDict()
 
-    def _record(self, previous: Optional[int], walk: Any, decoded: Any) -> None:
+    def _record(self, previous: Optional[int], walk: Any) -> None:
         if previous is None or previous == walk.pte_addr:
             return
         successors = self._transitions.get(previous)

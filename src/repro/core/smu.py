@@ -47,7 +47,15 @@ from repro.sim import (
 )
 from repro.storage.nvme import NVMeCommand
 from repro.vm.page_table import WalkResult
-from repro.vm.pte import ANON_FIRST_TOUCH_LBA
+from repro.vm.pte import (
+    ANON_FIRST_TOUCH_LBA,
+    DEVICE_FIELD_MASK,
+    DEVICE_SHIFT,
+    LBA_FIELD_MASK,
+    LBA_SHIFT,
+    SOCKET_FIELD_MASK,
+    SOCKET_SHIFT,
+)
 
 
 class Smu:
@@ -116,28 +124,29 @@ class Smu:
     # the page-miss handler pipeline (called from the MMU walker)
     # ------------------------------------------------------------------
     def handle_miss(
-        self, walk: WalkResult, decoded: Any, thread: Any
+        self, walk: WalkResult, pte: int, thread: Any
     ) -> Generator[Any, Any, Optional[int]]:
-        """Handle one hardware page miss; returns the PFN or None on failure.
+        """Handle one hardware page miss on the LBA-augmented leaf value
+        ``pte``; returns the PFN or None on failure.
 
         Runs in the faulting thread's coroutine: every ``yield`` is a
         pipeline stall of that core, never kernel work.
         """
         sink = self.sim.trace
         if sink is None:
-            pfn = yield from self._handle_miss(walk, decoded, thread, None)
+            pfn = yield from self._handle_miss(walk, pte, thread, None)
             return pfn
         span = sink.begin_span(
             thread.name,
             obs.PATH_HWDP,
             smu=self.socket_id,
             pte_addr=f"{walk.pte_addr:#x}",
-            lba=decoded.lba,
+            lba=(pte & LBA_FIELD_MASK) >> LBA_SHIFT,
         )
         previous_span = thread.active_span
         thread.active_span = span
         try:
-            pfn = yield from self._handle_miss(walk, decoded, thread, span)
+            pfn = yield from self._handle_miss(walk, pte, thread, span)
         except BaseException as exc:
             sink.end_span(span, obs.FAILED, error=type(exc).__name__)
             raise
@@ -153,15 +162,18 @@ class Smu:
 
     # repro: hot-path
     def _handle_miss(
-        self, walk: WalkResult, decoded: Any, thread: Any, span: Any
+        self, walk: WalkResult, pte: int, thread: Any, span: Any
     ) -> Generator[Any, Any, Optional[int]]:
         smu_config = self.config.smu
         counters = self.kernel.counters
-        if decoded.socket_id != self.socket_id:
+        socket_id = (pte & SOCKET_FIELD_MASK) >> SOCKET_SHIFT
+        if socket_id != self.socket_id:
             raise SmuError(
                 f"miss routed to SMU {self.socket_id} but PTE names socket "
-                f"{decoded.socket_id}"
+                f"{socket_id}"
             )
+        device_id = (pte & DEVICE_FIELD_MASK) >> DEVICE_SHIFT
+        lba = (pte & LBA_FIELD_MASK) >> LBA_SHIFT
 
         # Step 1-2: request registers + CAM lookup.
         if span is not None:
@@ -178,8 +190,8 @@ class Smu:
                 walk.pte_addr,
                 walk.pmd_entry_addr,
                 walk.pud_entry_addr,
-                decoded.device_id,
-                decoded.lba,
+                device_id,
+                lba,
             )
             if entry is not None:
                 break
@@ -231,7 +243,7 @@ class Smu:
 
             # §V anonymous-page extension: the reserved LBA constant means
             # "first touch" — bypass I/O, hand back a zero-filled frame.
-            if decoded.lba == ANON_FIRST_TOUCH_LBA:
+            if lba == ANON_FIRST_TOUCH_LBA:
                 entry.pfn = pop.pfn
                 self.before_device_stat.add(self.sim.now - started)
                 if span is not None:
@@ -261,19 +273,17 @@ class Smu:
             for attempt in range(1 + resilience.smu_io_retries):
                 if span is not None:
                     segment_start = self.sim.now
-                yield from self.host.await_sq_slot(thread, decoded.device_id)
+                yield from self.host.await_sq_slot(thread, device_id)
                 yield from thread.stall(self.host.issue_latency_ns)
                 if attempt == 0:
                     self.before_device_stat.add(self.sim.now - started)
                 io_done = self._register_io(entry)
-                self.host.issue_read(
-                    decoded.device_id, decoded.lba, pop.pfn, entry.index, claimed=True
-                )
+                self.host.issue_read(device_id, lba, pop.pfn, entry.index, claimed=True)
                 if span is not None:
                     span.event(segment_start, "sq_submit", self.sim.now - segment_start)
                 if attempt == 0:
                     self.readahead.observe_demand_miss(
-                        walk, decoded, thread.process.page_table, thread.core.core_id
+                        walk, thread.process.page_table, thread.core.core_id
                     )
                     # Step 6: device I/O, completion snooped by the host
                     # controller.  The prefetch buffer is eagerly re-warmed
@@ -445,11 +455,11 @@ class SmuComplex:
         return self.smus[socket_id]
 
     def handle_miss(
-        self, walk: WalkResult, decoded: Any, thread: Any
+        self, walk: WalkResult, pte: int, thread: Any
     ) -> Generator[Any, Any, Optional[int]]:
         """Route the miss to the PTE's home SMU (the MMU's entry point)."""
-        smu = self.smu_for(decoded.socket_id)
-        pfn = yield from smu.handle_miss(walk, decoded, thread)
+        smu = self.smu_for((pte & SOCKET_FIELD_MASK) >> SOCKET_SHIFT)
+        pfn = yield from smu.handle_miss(walk, pte, thread)
         return pfn
 
     def barrier(self, process: Any) -> Generator[Any, Any, None]:

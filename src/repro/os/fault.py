@@ -34,7 +34,19 @@ from repro.mem.address import PAGE_SHIFT
 from repro.obs import trace as obs
 from repro.sim import Completion
 from repro.vm.page_table import WalkResult
-from repro.vm.pte import ANON_FIRST_TOUCH_LBA, PteStatus, decode_pte
+from repro.vm.pte import (
+    ANON_FIRST_TOUCH_LBA,
+    DEVICE_FIELD_MASK,
+    DEVICE_SHIFT,
+    LBA_BIT,
+    LBA_FIELD_MASK,
+    LBA_SHIFT,
+    PFN_MASK,
+    PFN_SHIFT,
+    PRESENT_BIT,
+    PteStatus,
+    decode_pte,
+)
 
 
 class PageFaultHandler:
@@ -105,26 +117,23 @@ class PageFaultHandler:
 
         # Re-read the PTE: the page may have been installed while the
         # exception was delivered (e.g. the SMU completing a racing miss).
-        current = decode_pte(process.page_table.get_pte(vaddr))
-        if current.present:
+        current = process.page_table.get_pte(vaddr)
+        if current & PRESENT_BIT:
             kernel.counters.add("fault.spurious")
             span = thread.active_span
             if span is not None:
                 span.outcome = obs.SPURIOUS
             yield from thread.kernel_phase(self.costs.pte_update_return_ns, "return")
-            return current.pfn
+            return (current & PFN_MASK) >> PFN_SHIFT
 
-        if (
-            self.sw_pmshr is not None
-            and vma.is_fastmap
-            and current.status is PteStatus.NON_RESIDENT_HW
-        ):
+        # Not present, so the LBA bit alone marks a NON_RESIDENT_HW entry.
+        refill = bool(current & LBA_BIT)
+        if self.sw_pmshr is not None and refill and vma.is_fastmap:
             # Early LBA-bit check (§VI-A): jump to the SMU emulation, which
             # coalesces in the emulated PMSHR rather than the in-flight map.
             pfn = yield from self._swdp_fault(thread, vaddr, vma, current)
             return pfn
 
-        refill = current.status is PteStatus.NON_RESIDENT_HW
         if refill:
             span = thread.active_span
             if span is not None:
@@ -172,8 +181,11 @@ class PageFaultHandler:
         self._inflight[key] = completion
         pfn = None
         try:
-            decoded = decode_pte(thread.process.page_table.get_pte(vaddr))
-            swap_lba = self._anon_swap_lba(vma, decoded)
+            swap_lba = None
+            if not vma.is_file_backed:
+                swap_lba = self._anon_swap_lba(
+                    decode_pte(thread.process.page_table.get_pte(vaddr))
+                )
             if vma.is_file_backed or swap_lba is not None:
                 pfn = yield from self._major_fault(
                     thread, vaddr, vma, refill_queue, swap_lba=swap_lba
@@ -188,15 +200,13 @@ class PageFaultHandler:
             completion.fire(pfn)
         return pfn
 
-    def _anon_swap_lba(self, vma: Any, decoded: Any):
+    def _anon_swap_lba(self, decoded: Any):
         """LBA backing a swapped-out anonymous page, or None.
 
         Two encodings exist: LBA-augmented PTEs (the §V hardware extension)
         and conventional swap PTEs (the OSDP path, swap offset biased by
         one in the PFN field).
         """
-        if vma.is_file_backed:
-            return None
         if (
             decoded.status is PteStatus.NON_RESIDENT_HW
             and decoded.lba != ANON_FIRST_TOUCH_LBA
@@ -317,11 +327,12 @@ class PageFaultHandler:
     # ------------------------------------------------------------------
     # repro: hot-path
     def _swdp_fault(
-        self, thread: Any, vaddr: int, vma: Any, decoded: Any
+        self, thread: Any, vaddr: int, vma: Any, pte: int
     ) -> Generator[Any, Any, int]:
         kernel = self.kernel
         pmshr = self.sw_pmshr
         kernel.counters.add("fault.swdp")
+        lba = (pte & LBA_FIELD_MASK) >> LBA_SHIFT
         span = thread.active_span
         if span is not None:
             span.path = obs.PATH_SWDP
@@ -334,8 +345,8 @@ class PageFaultHandler:
                 walk.pte_addr,
                 walk.pmd_entry_addr,
                 walk.pud_entry_addr,
-                decoded.device_id,
-                decoded.lba,
+                (pte & DEVICE_FIELD_MASK) >> DEVICE_SHIFT,
+                lba,
             )
             if entry is not None:
                 break
@@ -380,7 +391,7 @@ class PageFaultHandler:
         yield from thread.kernel_phase(
             self.sw_costs.emu_submit_ns + contention, "emu_submit"
         )
-        if decoded.lba == ANON_FIRST_TOUCH_LBA and not vma.is_file_backed:
+        if lba == ANON_FIRST_TOUCH_LBA and not vma.is_file_backed:
             # §V anonymous extension, emulated: zero-fill, no I/O.
             kernel.counters.add("fault.swdp_anon_zero_fill")
             yield from thread.kernel_phase(
@@ -391,7 +402,7 @@ class PageFaultHandler:
             command = None
             for attempt in range(1 + resilience.smu_io_retries):
                 io_done = kernel.smu_blockio.submit_read(
-                    kernel.nsid_for_vma(vma), decoded.lba, dma_addr=pop.pfn
+                    kernel.nsid_for_vma(vma), lba, dma_addr=pop.pfn
                 )
                 if span is not None:
                     waited_from = self.sim.now

@@ -34,7 +34,9 @@ from repro.os.vma import MmapFlags, Vma
 from repro.sim import Counter, Signal, Simulator
 from repro.storage.nvme import NVMeDevice
 from repro.vm.pte import (
+    LBA_BIT,
     LBA_SHIFT,
+    PFN_MASK,
     PFN_SHIFT,
     PRESENT_BIT,
     PteStatus,
@@ -230,8 +232,8 @@ class Kernel:
         """
         process = page.process
         table = process.page_table
-        current = decode_pte(table.get_pte(page.vaddr))
-        if not current.present or current.pfn != page.pfn:
+        current = table.get_pte(page.vaddr)
+        if not current & PRESENT_BIT or (current & PFN_MASK) >> PFN_SHIFT != page.pfn:
             raise KernelError(
                 f"evicting PFN {page.pfn} but PTE({page.vaddr:#x}) does not map it"
             )
@@ -256,7 +258,7 @@ class Kernel:
                     self.swap_file.nsid, lba, dma_addr=page.pfn, context=self.swap_file
                 )
                 self.counters.add("reclaim.anon_swapped")
-            table.set_pte(page.vaddr, evict_to_lba(current.raw, lba))
+            table.set_pte(page.vaddr, evict_to_lba(current, lba))
             self.counters.add("reclaim.lba_augmented")
         elif page.file is None:
             # Conventional anonymous swap-out: the swap offset (biased by
@@ -275,17 +277,15 @@ class Kernel:
         # Unmap the rest of the reverse map (other VMAs mapping the frame).
         for other_process, other_vma, other_vaddr in page.extra_mappings:
             other_table = other_process.page_table
-            if decode_pte(other_table.get_pte(other_vaddr)).present:
+            other_pte = other_table.get_pte(other_vaddr)
+            if other_pte & PRESENT_BIT:
                 if (
                     self.mode is not PagingMode.OSDP
                     and other_vma.is_fastmap
                     and other_vma.file is not None
                 ):
                     lba = other_vma.file.lba_of_page(other_vma.file_page_of(other_vaddr))
-                    other_table.set_pte(
-                        other_vaddr,
-                        evict_to_lba(other_table.get_pte(other_vaddr), lba),
-                    )
+                    other_table.set_pte(other_vaddr, evict_to_lba(other_pte, lba))
                 else:
                     other_table.set_pte(other_vaddr, 0)
             self.cpu_complex.tlb_shootdown(other_vaddr >> PAGE_SHIFT)
@@ -307,12 +307,12 @@ class Kernel:
         self, process: ProcessContext, vma: Vma, vaddr: int, pfn: int
     ) -> int:
         """Conventional install: present PTE + inline OS metadata update."""
-        current = decode_pte(process.page_table.get_pte(vaddr))
-        if current.present:
+        current = process.page_table.get_pte(vaddr)
+        if current & PRESENT_BIT:
             # Lost a race (another path installed first): drop our frame.
             self.frame_pool.free(pfn)
             self.counters.add("install.lost_race")
-            return current.pfn
+            return (current & PFN_MASK) >> PFN_SHIFT
         process.page_table.set_pte(
             vaddr, make_present_pte(pfn, writable=vma.writable)
         )
@@ -444,14 +444,13 @@ class Kernel:
     def sync_hw_page(self, process: ProcessContext, vaddr: int, pte_addr: int) -> bool:
         """One deferred metadata update (kpted / msync / munmap path)."""
         value = process.page_table.read_entry(pte_addr)
-        if pte_status(value) is not PteStatus.RESIDENT_PENDING_SYNC:
-            return False
+        if value & (PRESENT_BIT | LBA_BIT) != PRESENT_BIT | LBA_BIT:
+            return False  # not RESIDENT_PENDING_SYNC
         vma = process.find_vma(vaddr)
         if vma is None:
             raise KernelError(f"pending-sync PTE at {vaddr:#x} has no VMA")
-        decoded = decode_pte(value)
         process.page_table.write_entry(pte_addr, os_sync_metadata(value))
-        self._track_resident(process, vma, vaddr, decoded.pfn)
+        self._track_resident(process, vma, vaddr, (value & PFN_MASK) >> PFN_SHIFT)
         self.counters.add("sync.pages")
         return True
 

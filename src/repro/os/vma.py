@@ -9,7 +9,7 @@ Figure 4 uses it to preload everything.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.config import PAGE_SIZE
@@ -37,14 +37,21 @@ class Vma:
     file_page_offset: int = 0
     flags: MmapFlags = MmapFlags.NONE
     writable: bool = True
+    #: ``FASTMAP in flags``, read on every fault and eviction; kept equal
+    #: to ``flags`` by :meth:`clear_fastmap`, the only later writer of both.
+    is_fastmap: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.is_fastmap = bool(self.flags & MmapFlags.FASTMAP)
+
+    def clear_fastmap(self) -> None:
+        """Drop hardware handling of this area (fork, §V)."""
+        self.flags &= ~MmapFlags.FASTMAP
+        self.is_fastmap = False
 
     @property
     def end(self) -> int:
         return self.start + self.num_pages * PAGE_SIZE
-
-    @property
-    def is_fastmap(self) -> bool:
-        return bool(self.flags & MmapFlags.FASTMAP)
 
     @property
     def is_file_backed(self) -> bool:

@@ -25,14 +25,7 @@ from repro.errors import ProtectionFault, SimulationError
 from repro.mem.address import PAGE_SHIFT
 from repro.sim import Delay, Simulator
 from repro.vm.page_table import WalkResult
-from repro.vm.pte import (
-    PFN_MASK,
-    PFN_SHIFT,
-    PRESENT_BIT,
-    WRITABLE_BIT,
-    PteStatus,
-    decode_pte,
-)
+from repro.vm.pte import LBA_BIT, PFN_MASK, PFN_SHIFT, PRESENT_BIT, WRITABLE_BIT
 from repro.vm.tlb import Tlb
 
 
@@ -100,9 +93,9 @@ class Mmu:
         walk = page_table.walk(vaddr)
         pte = walk.pte
 
+        # Every branch below is a bit test on the raw leaf value, as the
+        # walker hardware does it (Table I).
         if pte & PRESENT_BIT:
-            # Present leaf: the fields the fast path needs are two bit
-            # tests away — skip the full decode.
             writable = bool(pte & WRITABLE_BIT)
             if is_write and not writable:
                 raise ProtectionFault(f"write to read-only page {vpn:#x}")
@@ -110,21 +103,22 @@ class Mmu:
             self.tlb.fill(vpn, pfn, writable)
             return Translation(pfn, TranslationKind.WALK)
 
-        decoded = decode_pte(pte)
-        if decoded.status is PteStatus.NON_RESIDENT_HW and self.smu is not None:
+        if pte & LBA_BIT and self.smu is not None:
             started = self.sim.now
-            self._check_protection(decoded, vpn, is_write)
-            pfn = yield from self.smu.handle_miss(walk, decoded, thread)
+            writable = bool(pte & WRITABLE_BIT)
+            if is_write and not writable:
+                raise ProtectionFault(f"write to read-only page {vpn:#x}")
+            pfn = yield from self.smu.handle_miss(walk, pte, thread)
             if pfn is not None:
                 self.hw_misses += 1
-                self.tlb.fill(vpn, pfn, decoded.writable)
+                self.tlb.fill(vpn, pfn, writable)
                 return Translation(
                     pfn, TranslationKind.HW_MISS, miss_latency_ns=self.sim.now - started
                 )
             # Free-page queue empty: fall back to a normal exception.
             self.hw_fallbacks += 1
             pfn = yield from self._os_fault(thread, vaddr, walk, is_write)
-            self.tlb.fill(vpn, pfn, decoded.writable)
+            self.tlb.fill(vpn, pfn, writable)
             return Translation(
                 pfn,
                 TranslationKind.HW_FALLBACK_FAULT,
@@ -133,8 +127,13 @@ class Mmu:
 
         started = self.sim.now
         pfn = yield from self._os_fault(thread, vaddr, walk, is_write)
-        installed = decode_pte(page_table.get_pte(vaddr))
-        self.tlb.fill(vpn, pfn, installed.writable if installed.present else True)
+        installed = page_table.get_pte(vaddr)
+        # Known defect (tests/test_stale_tlb_fill.py): reclaim can evict
+        # the page during the fault's return phase, and the freed frame is
+        # still filled, writable since the PTE is no longer present.
+        self.tlb.fill(
+            vpn, pfn, bool(installed & WRITABLE_BIT) if installed & PRESENT_BIT else True
+        )
         return Translation(
             pfn, TranslationKind.OS_FAULT, miss_latency_ns=self.sim.now - started
         )
@@ -150,14 +149,6 @@ class Mmu:
         pfn = yield from self.fault_handler(thread, vaddr, walk, is_write)
         return pfn
 
-    @staticmethod
-    def _check_protection(decoded: Any, vpn: int, is_write: bool) -> None:
-        if is_write and not decoded.writable:
-            raise ProtectionFault(f"write to read-only page {vpn:#x}")
-
     # ------------------------------------------------------------------
-    def invalidate(self, vpn: int) -> bool:
-        return self.tlb.invalidate(vpn)
-
     def flush_tlb(self) -> None:
         self.tlb.flush()

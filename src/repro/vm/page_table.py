@@ -49,9 +49,6 @@ class _TableNode:
         #: index → child node, only for levels > 0.
         self.children: Dict[int, "_TableNode"] = {}
 
-    def entry_addr(self, index: int) -> int:
-        return self.base_addr + index * 8
-
 
 @dataclass(slots=True)
 class WalkResult:
@@ -320,6 +317,7 @@ class PageTable:
         plus visit counts for cost accounting.
         """
         report = ScanReport()
+        pending_bits = PRESENT_BIT | LBA_BIT  # RESIDENT_PENDING_SYNC
         for pgd_index, pud_table in sorted(self.root.children.items()):
             for pud_index in list(pud_table.children.keys()):
                 report.upper_visited += 1
@@ -333,12 +331,15 @@ class PageTable:
                         continue
                     pmd_table.entries[pmd_index] &= ~LBA_BIT
                     leaf = pmd_table.children[pmd_index]
-                    for pte_index in range(ENTRIES_PER_TABLE):
-                        value = leaf.entries[pte_index]
-                        report.ptes_visited += 1
-                        if value & PRESENT_BIT and value & LBA_BIT:
-                            vpn = self._vpn_of(pgd_index, pud_index, pmd_index, pte_index)
-                            report.pending.append((vpn, leaf.entry_addr(pte_index)))
+                    # The whole leaf is scanned: 512 entries visited.
+                    report.ptes_visited += ENTRIES_PER_TABLE
+                    vpn = self._vpn_of(pgd_index, pud_index, pmd_index, 0)
+                    base = leaf.base_addr
+                    report.pending.extend([
+                        (vpn | pte_index, base + pte_index * 8)
+                        for pte_index, value in enumerate(leaf.entries)
+                        if value & pending_bits == pending_bits
+                    ])
         return report
 
     @staticmethod

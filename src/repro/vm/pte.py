@@ -95,6 +95,10 @@ MAX_DEVICE_ID = (1 << DEVICE_BITS) - 1
 MAX_SOCKET_ID = (1 << SOCKET_BITS) - 1
 MAX_PKEY = (1 << PKEY_BITS) - 1
 
+#: The protections every Table I transition carries from the old PTE to
+#: the new one (W, USER, pkey, NX); the other flags start clear.
+_KEPT_BITS = WRITABLE_BIT | USER_BIT | PKEY_MASK | NX_BIT
+
 
 class PteStatus(enum.Enum):
     """The four leaf-PTE states of Table I."""
@@ -171,12 +175,7 @@ def make_lba_pte(
     pkey: int = 0,
 ) -> int:
     """Encode a non-present LBA-augmented PTE (Figure 6b)."""
-    if not 0 <= lba <= MAX_LBA:
-        raise PageTableError(f"LBA {lba:#x} exceeds {LBA_BITS} bits")
-    if not 0 <= device_id <= MAX_DEVICE_ID:
-        raise PageTableError(f"device ID {device_id} exceeds {DEVICE_BITS} bits")
-    if not 0 <= socket_id <= MAX_SOCKET_ID:
-        raise PageTableError(f"socket ID {socket_id} exceeds {SOCKET_BITS} bits")
+    _check_storage_location(lba, device_id, socket_id)
     if not 0 <= pkey <= MAX_PKEY:
         raise PageTableError(f"pkey {pkey} exceeds {PKEY_BITS} bits")
     value = (
@@ -195,6 +194,16 @@ def make_lba_pte(
     return value
 
 
+def _check_storage_location(lba: int, device_id: int, socket_id: int) -> None:
+    """Range checks of the Figure 6b storage-location fields."""
+    if not 0 <= lba <= MAX_LBA:
+        raise PageTableError(f"LBA {lba:#x} exceeds {LBA_BITS} bits")
+    if not 0 <= device_id <= MAX_DEVICE_ID:
+        raise PageTableError(f"device ID {device_id} exceeds {DEVICE_BITS} bits")
+    if not 0 <= socket_id <= MAX_SOCKET_ID:
+        raise PageTableError(f"socket ID {socket_id} exceeds {SOCKET_BITS} bits")
+
+
 def make_anon_lba_pte(*, writable: bool = True, user: bool = True, nx: bool = False,
                       pkey: int = 0) -> int:
     """A first-touch anonymous PTE for the §V extension: LBA field set to
@@ -205,11 +214,10 @@ def make_anon_lba_pte(*, writable: bool = True, user: bool = True, nx: bool = Fa
 
 
 def is_anon_first_touch(value: int) -> bool:
-    """True when a decoded/raw PTE is a first-touch anonymous marker."""
-    decoded = decode_pte(value) if isinstance(value, int) else value
+    """True when a PTE is a first-touch anonymous marker."""
     return (
-        decoded.status is PteStatus.NON_RESIDENT_HW
-        and decoded.lba == ANON_FIRST_TOUCH_LBA
+        value & (PRESENT_BIT | LBA_BIT) == LBA_BIT
+        and value & LBA_FIELD_MASK == ANON_FIRST_TOUCH_LBA << LBA_SHIFT
     )
 
 
@@ -231,9 +239,9 @@ def make_swap_pte(swap_offset: int) -> int:
 class DecodedPte:
     """A decoded view of one 64-bit leaf PTE.
 
-    Treated as immutable by every consumer; not ``frozen`` because the
-    per-field ``object.__setattr__`` of frozen dataclasses dominates
-    :func:`decode_pte` on the miss path (one decode per hardware miss).
+    The reference decoding, for tests, diagnostics and cold paths; the
+    page-miss lifecycle tests the raw bits instead.  Treated as immutable
+    by every consumer.
     """
 
     raw: int
@@ -274,9 +282,19 @@ def decode_pte(value: int) -> DecodedPte:
     )
 
 
+#: Table I status by ``PRESENT | (LBA >> 9)``: index 0 is PRESENT=0 LBA=0,
+#: 1 PRESENT=1 LBA=0, 2 PRESENT=0 LBA=1, 3 PRESENT=1 LBA=1.
+_STATUS_BY_BITS = (
+    PteStatus.NON_RESIDENT_OS,
+    PteStatus.RESIDENT,
+    PteStatus.NON_RESIDENT_HW,
+    PteStatus.RESIDENT_PENDING_SYNC,
+)
+
+
 def pte_status(value: int) -> PteStatus:
     """Table I status of a leaf PTE."""
-    return decode_pte(value).status
+    return _STATUS_BY_BITS[(value & PRESENT_BIT) | ((value & LBA_BIT) >> 9)]
 
 
 def describe_upper(value: int) -> UpperStatus:
@@ -286,6 +304,10 @@ def describe_upper(value: int) -> UpperStatus:
 
 # ----------------------------------------------------------------------
 # Transitions (the state machine of §III-B/§IV)
+#
+# The three miss-lifecycle transitions are bit arithmetic on the raw value:
+# each returns what the make_*_pte constructors build from the decoded
+# fields and raises the same errors (tests/test_pte_bit_transitions.py).
 # ----------------------------------------------------------------------
 def hw_install_frame(lba_pte: int, pfn: int) -> int:
     """The SMU's page-table update: LBA field → PFN, PRESENT set.
@@ -294,28 +316,21 @@ def hw_install_frame(lba_pte: int, pfn: int) -> int:
     OS metadata must be synchronised (§III-C step 7: "SMU does not clear
     the LBA bit").  Protection bits, pkey and NX are preserved.
     """
-    decoded = decode_pte(lba_pte)
-    if decoded.present or not decoded.lba_bit:
+    if lba_pte & (PRESENT_BIT | LBA_BIT) != LBA_BIT:
         raise PageTableError(
-            f"hw_install_frame on PTE in state {decoded.status}; "
+            f"hw_install_frame on PTE in state {pte_status(lba_pte)}; "
             "expected NON_RESIDENT_HW"
         )
-    return make_present_pte(
-        pfn,
-        writable=decoded.writable,
-        user=decoded.user,
-        nx=decoded.nx,
-        pkey=decoded.pkey,
-        lba_pending=True,
-    )
+    if not 0 <= pfn <= MAX_PFN:
+        raise PageTableError(f"PFN {pfn:#x} exceeds {PFN_BITS} bits")
+    return PRESENT_BIT | LBA_BIT | (pfn << PFN_SHIFT) | (lba_pte & _KEPT_BITS)
 
 
 def os_sync_metadata(pte: int) -> int:
     """kpted's final act for one PTE: clear the LBA bit (§IV-C)."""
-    decoded = decode_pte(pte)
-    if decoded.status is not PteStatus.RESIDENT_PENDING_SYNC:
+    if pte & (PRESENT_BIT | LBA_BIT) != PRESENT_BIT | LBA_BIT:
         raise PageTableError(
-            f"os_sync_metadata on PTE in state {decoded.status}; "
+            f"os_sync_metadata on PTE in state {pte_status(pte)}; "
             "expected RESIDENT_PENDING_SYNC"
         )
     return pte & ~LBA_BIT
@@ -327,17 +342,15 @@ def evict_to_lba(present_pte: int, lba: int, *, device_id: int = 0, socket_id: i
     Implements §IV-B's eviction rule: record the LBA, clear PRESENT, set the
     LBA bit, preserving protections.
     """
-    decoded = decode_pte(present_pte)
-    if not decoded.present:
+    if not present_pte & PRESENT_BIT:
         raise PageTableError("evict_to_lba requires a present PTE")
-    return make_lba_pte(
-        lba,
-        device_id=device_id,
-        socket_id=socket_id,
-        writable=decoded.writable,
-        user=decoded.user,
-        nx=decoded.nx,
-        pkey=decoded.pkey,
+    _check_storage_location(lba, device_id, socket_id)
+    return (
+        LBA_BIT
+        | (lba << LBA_SHIFT)
+        | (device_id << DEVICE_SHIFT)
+        | (socket_id << SOCKET_SHIFT)
+        | (present_pte & _KEPT_BITS)
     )
 
 

@@ -150,17 +150,17 @@ class TestMarkov:
     def test_predicts_most_frequent_successor_first(self):
         pf = MarkovPrefetcher(smu=None, degree=4)
         a, b, c = 0x8000, 0x8010, 0x8020
-        pf._record(a, walk_at(b), None)
-        pf._record(a, walk_at(b), None)
-        pf._record(a, walk_at(c), None)
+        pf._record(a, walk_at(b))
+        pf._record(a, walk_at(b))
+        pf._record(a, walk_at(c))
         assert pf.predict(a) == [b, c]
         assert pf.predict(b) == []
 
     def test_equal_counts_keep_first_observed_order(self):
         pf = MarkovPrefetcher(smu=None, degree=4)
         a, b, c = 0x8000, 0x8010, 0x8020
-        pf._record(a, walk_at(c), None)
-        pf._record(a, walk_at(b), None)
+        pf._record(a, walk_at(c))
+        pf._record(a, walk_at(b))
         assert pf.predict(a) == [c, b]
 
     def test_successor_table_bounded(self):
@@ -168,7 +168,7 @@ class TestMarkov:
         a = 0x8000
         successors = [0x8100 + 8 * i for i in range(pf.max_successors + 1)]
         for addr in successors:
-            pf._record(a, walk_at(addr), None)
+            pf._record(a, walk_at(addr))
         predicted = pf.predict(a)
         assert len(predicted) == pf.max_successors
         # The weakest (oldest on ties) successor was evicted.
@@ -177,9 +177,9 @@ class TestMarkov:
     def test_state_table_fifo_bounded(self):
         pf = MarkovPrefetcher(smu=None, degree=4)
         pf.max_states = 2
-        pf._record(0x8000, walk_at(0x8008), None)
-        pf._record(0x8010, walk_at(0x8018), None)
-        pf._record(0x8020, walk_at(0x8028), None)
+        pf._record(0x8000, walk_at(0x8008))
+        pf._record(0x8010, walk_at(0x8018))
+        pf._record(0x8020, walk_at(0x8028))
         assert pf.predict(0x8000) == []  # oldest state evicted
         assert pf.predict(0x8020) == [0x8028]
 

@@ -5,7 +5,7 @@ import pytest
 from repro.config import PagingMode
 from repro.mem.address import PAGE_SHIFT
 from repro.os.vma import MmapFlags
-from repro.vm import PteStatus, make_present_pte, pte_status
+from repro.vm import PteStatus, decode_pte, make_present_pte, pte_status
 
 from tests.helpers import build_mapped_system, touch_pages
 
@@ -59,9 +59,24 @@ class TestFork:
 
     def test_fork_clears_fastmap_flag(self):
         system, thread, vma = build_mapped_system(PagingMode.HWDP, file_pages=8)
+        kernel = system.kernel
         assert vma.is_fastmap
-        run_coroutine(system, system.kernel.sys_fork(thread))
+        touch_pages(system, thread, vma, [0])
+        run_coroutine(system, kernel.sys_msync(thread, vma))  # page 0 tracked
+        child = run_coroutine(system, kernel.sys_fork(thread))
+        # Parent: the flag and the cached attribute are both cleared.
         assert not vma.is_fastmap
+        assert not vma.flags & MmapFlags.FASTMAP
+        assert thread.process.layout.fastmap_vmas() == []
+        # Child: no fast-mmap area either.
+        assert not any(area.is_fastmap for area in child.layout.vmas)
+        assert child.layout.fastmap_vmas() == []
+        # Evicting a page of the reverted VMA clears its PTE: a stale
+        # fast-mmap flag would LBA-augment it again.
+        table = thread.process.page_table
+        pfn = decode_pte(table.get_pte(vma.start)).pfn
+        kernel.evict_page(kernel._page_info[pfn])
+        assert table.get_pte(vma.start) == 0
 
     def test_child_registered_with_kernel(self):
         system, thread, _ = build_mapped_system(PagingMode.HWDP)
