@@ -37,9 +37,9 @@ Conventions:
   checkpointed; disable with ``--no-warm-start`` — output is
   byte-identical either way);
 * ``--checkpoint-interval N`` journals a simulation-state digest every N
-  dispatched events per cell; ``--resume`` then replays interrupted cells
-  and verifies every recorded digest, proving the resumed run
-  byte-identical;
+  dispatched events per cell; ``--resume`` then replays interrupted cells,
+  which must reach every recorded boundary with the recorded digest,
+  proving the resumed run byte-identical;
 * ``--cache-prune [MB]`` bounds ``benchmarks/.cache/`` (LRU) and
   ``benchmarks/.runs/`` (oldest finished run first) and exits; with
   ``$REPRO_CACHE_MAX_MB`` / ``$REPRO_RUNS_MAX_MB`` set, every run prunes
@@ -254,15 +254,8 @@ def main(argv=None) -> int:
         parser.error("--jobs must be >= 1")
     if args.retry_failed and not args.resume:
         parser.error("--retry-failed only makes sense with --resume")
-    if args.checkpoint_interval is not None:
-        if args.checkpoint_interval < 1:
-            parser.error("--checkpoint-interval must be >= 1")
-        if args.trace or args.metrics or args.sanitize:
-            parser.error(
-                "--checkpoint-interval cannot be combined with "
-                "--trace/--metrics/--sanitize (both claim the in-process "
-                "observation slot)"
-            )
+    if args.checkpoint_interval is not None and args.checkpoint_interval < 1:
+        parser.error("--checkpoint-interval must be >= 1")
 
     cache = None if args.no_cache else CellCache()
     journal = None
@@ -304,7 +297,6 @@ def main(argv=None) -> int:
                 "(output stays byte-identical)]",
                 file=sys.stderr,
             )
-        journal = RunJournal.attach(args.resume, argv=list(argv or sys.argv[1:]))
         if state.checkpoint_interval is not None:
             if (
                 checkpoint_interval is not None
@@ -337,16 +329,27 @@ def main(argv=None) -> int:
             parser.error(str(error.args[0]))
         scale = _SCALES[args.scale]
         jobs = args.jobs if args.jobs is not None else 1
-        if args.journal or args.run_id or checkpoint_interval is not None:
-            journal = RunJournal.create(
-                scale=scale_to_dict(scale),
-                jobs=jobs,
-                specs=[spec.name for spec in specs],
-                run_id=args.run_id,
-                argv=list(argv or sys.argv[1:]),
-                checkpoint_interval=checkpoint_interval,
-            )
-            print(f"[journal: run {journal.run_id} -> {journal.path}]", file=sys.stderr)
+
+    # Checked after the resume branch: a resumed run inherits the journal's
+    # interval.  Digests include the attached observers' class names, so
+    # observing a checkpointed run would make its resumes diverge.
+    if checkpoint_interval is not None and (args.trace or args.metrics or args.sanitize):
+        parser.error(
+            "--checkpoint-interval (given, or inherited by --resume) cannot be "
+            "combined with --trace/--metrics/--sanitize"
+        )
+    if args.resume:
+        journal = RunJournal.attach(args.resume, argv=list(argv or sys.argv[1:]))
+    elif args.journal or args.run_id or checkpoint_interval is not None:
+        journal = RunJournal.create(
+            scale=scale_to_dict(scale),
+            jobs=jobs,
+            specs=[spec.name for spec in specs],
+            run_id=args.run_id,
+            argv=list(argv or sys.argv[1:]),
+            checkpoint_interval=checkpoint_interval,
+        )
+        print(f"[journal: run {journal.run_id} -> {journal.path}]", file=sys.stderr)
 
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
@@ -357,48 +360,25 @@ def main(argv=None) -> int:
         from repro.obs.runtime import Observation
         from repro.obs.trace import TraceSink
 
-        if jobs > 1:
-            print(
-                "[observability: --trace/--metrics/--sanitize force --jobs 1 "
-                "(cells must run in-process to be observed)]",
-                file=sys.stderr,
-            )
-            jobs = 1
         observation = Observation(
             trace=TraceSink() if args.trace else None,
             metrics=bool(args.metrics),
             sanitize=args.sanitize,
         )
 
-    if checkpoint_interval is not None and jobs > 1:
-        print(
-            "[checkpoint: --checkpoint-interval forces --jobs 1 (cells must "
-            "run in-process to be digested)]",
-            file=sys.stderr,
-        )
-        jobs = 1
-
     supervise = None
-    if checkpoint_interval is not None:
-        if args.timeout is not None or args.max_retries is not None:
-            print(
-                "[checkpoint: cells run in-process, so --timeout/--max-retries "
-                "supervision is disabled for this run]",
-                file=sys.stderr,
-            )
-    elif observation is None and (
-        jobs > 1 or args.timeout is not None or args.max_retries is not None
-    ):
+    if jobs > 1 or args.timeout is not None or args.max_retries is not None:
         supervise = SupervisorConfig(
             timeout_s=args.timeout,
             max_retries=args.max_retries if args.max_retries is not None else 1,
         )
-    elif observation is not None and (args.timeout is not None or args.max_retries is not None):
-        print(
-            "[observability: cells run in-process, so --timeout/--max-retries "
-            "supervision is disabled for this run]",
-            file=sys.stderr,
-        )
+        if observation is not None or checkpoint_interval is not None:
+            print(
+                "[in-process run: --trace/--metrics/--sanitize and "
+                "--checkpoint-interval run every cell in this process, so "
+                "--jobs/--timeout/--max-retries are ignored]",
+                file=sys.stderr,
+            )
 
     # First SIGINT/SIGTERM: stop dispatching, drain in-flight cells, journal
     # a suspended record, exit 3.  Second signal: abort immediately.

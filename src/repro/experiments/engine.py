@@ -312,7 +312,6 @@ def execute(
     *,
     jobs: int = 1,
     cache: Optional[CellCache] = None,
-    cells_override: Optional[Sequence[Cell]] = None,
     observation: Optional[Any] = None,
     journal: Optional[RunJournal] = None,
     supervise: Optional[SupervisorConfig] = None,
@@ -329,8 +328,7 @@ def execute(
     time; ``supervise`` adds per-cell timeouts (scaled by the spec's
     ``cost_hint`` and the scale's ``timeout_scale``) and retries, without
     it a failing cell is not retried.  Otherwise cells run inline and only
-    warm groups fork, one at a time.  ``cells_override`` replaces the cell
-    grid of a single spec.
+    warm groups fork, one at a time.
 
     ``warm_start`` (default on) groups the cells of a spec that declares a
     :class:`~repro.experiments.registry.WarmupSpec` by warmup-prefix key:
@@ -344,8 +342,10 @@ def execute(
     spans and metrics ``<experiment>[<cell-params>]``.
     ``checkpoint_interval`` also runs cells inline, journaling a state
     digest every N events; ``resume_checkpoints`` maps ``(experiment, cell
-    key)`` to a prior journal's records, which the replay verifies —
-    divergence fails the cell.  Neither plans warm groups.
+    key)`` to a prior journal's records, which the replay verifies — a
+    diverging digest, or a recorded boundary the replay never reaches,
+    fails the cell.  Both run every cell inline: ``jobs`` and
+    ``supervise`` are ignored and no warm groups are planned.
 
     ``skip_failed`` maps ``(experiment, cell key)`` to a prior
     :class:`CellFailure` that is re-reported instead of re-run;
@@ -353,8 +353,6 @@ def execute(
     starts, in-flight tasks drain, and ``report.interrupted`` is set.
     """
     resolved = [get_spec(s) if isinstance(s, str) else s for s in specs]
-    if cells_override is not None and len(resolved) != 1:
-        raise ValueError("cells_override requires exactly one spec")
     if checkpoint_interval is not None and observation is not None:
         raise ValueError("checkpoint_interval cannot be combined with observation")
     in_process = observation is not None or checkpoint_interval is not None
@@ -362,7 +360,7 @@ def execute(
 
     run = _Run(scale, cache, journal, should_stop)
     grids, tasks = _plan(
-        run, resolved, cells_override, skip_failed,
+        run, resolved, skip_failed,
         read_cache=observation is None, warm=can_fork and warm_start,
     )
     def forks(task: _Task) -> bool:
@@ -374,14 +372,16 @@ def execute(
         config = supervise if supervise is not None else SupervisorConfig(max_retries=0)
         inline = _ForkedRunner(run, max(1, jobs), config).run(forked) + inline
 
-    def probe_for(slot: _Slot) -> Optional[Any]:
+    def compute(slot: _Slot) -> Params:
+        params = slot.cell.as_dict()
         if checkpoint_interval is not None:
-            return _checkpoint_probe(run, slot, checkpoint_interval, resume_checkpoints)
-        if observation is not None:
-            observation.set_unit(_label(slot.spec.name, slot.cell.as_dict()))
-        return observation
+            return _checkpointed(run, slot, checkpoint_interval, resume_checkpoints)
+        if observation is None:
+            return slot.spec.cell_fn(run.scale, params)
+        observation.set_unit(_label(slot.spec.name, params))
+        return _observed(observation, lambda: slot.spec.cell_fn(run.scale, params))
 
-    _run_inline(run, inline, "inline-ckpt" if checkpoint_interval else "inline", probe_for)
+    _run_inline(run, inline, "inline-ckpt" if checkpoint_interval else "inline", compute)
 
     report = run.report
     for spec_index, spec in enumerate(resolved):
@@ -401,7 +401,6 @@ def execute(
 def _plan(
     run: _Run,
     specs: Sequence[ExperimentSpec],
-    cells_override: Optional[Sequence[Cell]],
     skip_failed: Optional[Dict[Tuple[str, str], CellFailure]],
     *,
     read_cache: bool,
@@ -419,7 +418,7 @@ def _plan(
     groups: Dict[Tuple[int, str], List[_Slot]] = {}
     cold: List[_Task] = []
     for spec_index, spec in enumerate(specs):
-        cells = list(cells_override if cells_override is not None else spec.cells(run.scale))
+        cells = list(spec.cells(run.scale))
         grids.append(cells)
         keys = [cell_key(spec, run.scale, cell) if need_keys else None for cell in cells]
         if run.journal is not None:
@@ -457,67 +456,81 @@ def _plan(
 # inline runner
 # ----------------------------------------------------------------------
 def _run_inline(run: _Run, slots: Sequence[_Slot], label: str,
-                probe_for: Callable[[_Slot], Optional[Any]]) -> None:
+                compute: Callable[[_Slot], Params]) -> None:
     """Compute ``slots`` one after another in this process.
 
-    ``probe_for(slot)`` returns the :class:`~repro.obs.runtime.Observation`
-    to activate around that cell — the caller's, or a checkpoint hook —
-    or ``None`` to run the cell bare.
+    ``compute(slot)`` returns the cell's payload: the bare cell function,
+    or the cell under the caller's observation or a checkpoint hook.
     """
-    from repro.obs import runtime as obs_runtime
-
     for position, slot in enumerate(slots):
         if run.stop_requested():
             run.report.skipped += len(slots) - position
             return
         run.dispatched(slot, 1, label)
-        probe = probe_for(slot)
-        if probe is not None:
-            obs_runtime.activate(probe)
         started = _clock()
         try:
-            payload = _canonical(slot.spec.cell_fn(run.scale, slot.cell.as_dict()))
+            payload = _canonical(compute(slot))
         except Exception as exc:
             run.fail(slot, "exception", f"{type(exc).__name__}: {exc}", 1, label)
             continue
-        finally:
-            if probe is not None:
-                probe.set_unit(None)
-                obs_runtime.deactivate()
         run.finish(slot, payload, 1, _clock() - started, label)
 
 
-def _checkpoint_probe(run: _Run, slot: _Slot, interval: int,
-                      resume_checkpoints: Optional[Dict[Tuple[str, str], List[Dict]]]) -> Any:
-    """An observation whose only job is attaching a checkpoint observer.
+def _observed(observation: Any, compute: Callable[[], Params]) -> Params:
+    """Run ``compute`` with ``observation`` active around every system it builds."""
+    from repro.obs import runtime as obs_runtime
 
-    Every simulator the cell builds journals a state digest every
-    ``interval`` events.  On resume, the cell's recorded digests, keyed by
-    build order (the record's ``sim`` index), become ``expect`` values:
-    the replay raises the moment it diverges.
+    obs_runtime.activate(observation)
+    try:
+        return compute()
+    finally:
+        observation.set_unit(None)
+        obs_runtime.deactivate()
+
+
+def _checkpointed(run: _Run, slot: _Slot, interval: int,
+                  resume_checkpoints: Optional[Dict[Tuple[str, str], List[Dict]]]) -> Params:
+    """Compute one cell with a checkpoint observer on every simulator it builds.
+
+    Each simulator journals a state digest every ``interval`` events.  On
+    resume, the cell's recorded digests, keyed by build order (the
+    record's ``sim`` index), become ``expect`` values: the replay raises
+    the moment it diverges, and a replay that finishes without reaching
+    every recorded boundary fails the cell too.  Only boundaries not
+    already recorded are journaled.
     """
     from repro.obs.runtime import Observation
-    from repro.sim.checkpoint import CheckpointObserver
+    from repro.sim.checkpoint import CheckpointError, CheckpointObserver
 
     spec, key, journal = slot.spec, slot.key, run.journal
     expect: Dict[int, Dict[int, str]] = {}
     for record in (resume_checkpoints or {}).get((spec.name, key), []):
         expect.setdefault(int(record.get("sim", 0)), {})[int(record["events"])] = record["digest"]
+    unverified = {(index, events) for index, digests in expect.items() for events in digests}
     built = itertools.count()
 
     def attach(unit: str, system: Any) -> None:
         index = next(built)
 
-        def journal_checkpoint(cp: Dict[str, Any]) -> None:
-            if journal is not None and key is not None:
+        def on_checkpoint(cp: Dict[str, Any]) -> None:
+            boundary = (index, cp["events"])
+            if boundary in unverified:
+                unverified.discard(boundary)  # verified; the journal already holds it
+            elif journal is not None and key is not None:
                 journal.cell_checkpoint(spec.name, key, cp["events"], cp["sim_time"],
                                         cp["digest"], sim_index=index)
 
         system.sim.attach(CheckpointObserver(system, interval=interval,
-                                             on_checkpoint=journal_checkpoint,
+                                             on_checkpoint=on_checkpoint,
                                              expect=expect.get(index)))
 
-    return Observation(on_system=attach)
+    payload = _observed(Observation(on_system=attach),
+                        lambda: spec.cell_fn(run.scale, slot.cell.as_dict()))
+    if unverified:
+        index, events = min(unverified)
+        raise CheckpointError(f"resumed run never reached the recorded checkpoint "
+                              f"at event {events} of simulator {index}")
+    return payload
 
 
 # ----------------------------------------------------------------------
@@ -550,8 +563,11 @@ def _report_cell(out: Any, index: int, compute: Callable[[], Params]) -> None:
     out.flush()
 
 
-def _lead_group(out: Any, task: _Task, scale: ExperimentScale) -> None:
+def _lead_group(out: Any, task: _Task, scale: ExperimentScale, digest: bool) -> None:
     """Simulate a warm group's prefix once, then fork one grandchild per cell.
+
+    With ``digest`` (the run has a cache to record it in), the prefix
+    record carries the warmed-up system's state digest.
 
     Grandchildren run ``spec.warmup.finish`` on the inherited live context
     strictly one at a time (fork → waitpid) and write their records
@@ -562,12 +578,12 @@ def _lead_group(out: Any, task: _Task, scale: ExperimentScale) -> None:
     try:
         ctx = spec.warmup.prefix(scale, dict(task.group))
         record: Dict[str, Any] = {"kind": "prefix"}
-        system = ctx.get("system") if isinstance(ctx, dict) else None
+        system = ctx.get("system") if digest and isinstance(ctx, dict) else None
         if system is not None:
-            from repro.sim.checkpoint import snapshot_system
+            from repro.sim.checkpoint import state_digest
 
-            snap = snapshot_system(system, recipe={"experiment": spec.name, "group": task.group})
-            record.update(events=snap.events, sim_time=snap.sim_time, digest=snap.digest)
+            record.update(events=system.sim.events_dispatched, sim_time=system.sim.now,
+                          digest=state_digest(system))
     except Exception as exc:
         record = {"kind": "prefix-error", "error": f"{type(exc).__name__}: {exc}"}
     out.write(json.dumps(record) + "\n")
@@ -581,13 +597,14 @@ def _lead_group(out: Any, task: _Task, scale: ExperimentScale) -> None:
             scale, slot.cell.as_dict(), ctx))), 0)
 
 
-def _task_child(read_fd: int, write_fd: int, task: _Task, scale: ExperimentScale) -> None:
+def _task_child(read_fd: int, write_fd: int, task: _Task, scale: ExperimentScale,
+                digest: bool) -> None:
     """Body of a forked task child."""
     os.close(read_fd)
     os.setpgid(0, 0)  # one process group per task: a timeout kills it whole
     out = os.fdopen(write_fd, "w")
     if task.group is not None:
-        _lead_group(out, task, scale)
+        _lead_group(out, task, scale, digest)
     else:
         slot = task.slots[0]
         _report_cell(out, 0, lambda: slot.spec.cell_fn(scale, slot.cell.as_dict()))
@@ -666,7 +683,8 @@ class _ForkedRunner:
     def _start(self, task: _Task) -> None:
         read_fd, write_fd = os.pipe()
         try:
-            pid = _fork(lambda: _task_child(read_fd, write_fd, task, self.run_state.scale))
+            pid = _fork(lambda: _task_child(read_fd, write_fd, task, self.run_state.scale,
+                                            self.run_state.cache is not None))
         except OSError:
             os.close(read_fd)
             os.close(write_fd)
@@ -879,12 +897,10 @@ def run_spec(
     *,
     jobs: int = 1,
     cache: Optional[CellCache] = None,
-    cells: Optional[Sequence[Cell]] = None,
     observation: Optional[Any] = None,
 ) -> ExperimentResult:
     """Run one experiment and return its merged result."""
-    return execute([spec], scale, jobs=jobs, cache=cache, cells_override=cells,
-                   observation=observation).results[0]
+    return run_specs([spec], scale, jobs=jobs, cache=cache, observation=observation)[0]
 
 
 def run_specs(

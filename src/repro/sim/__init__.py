@@ -7,7 +7,6 @@ recorders.
 """
 
 from repro.sim.checkpoint import (
-    Checkpoint,
     CheckpointError,
     CheckpointObserver,
     capture_state,
@@ -51,7 +50,6 @@ __all__ = [
     "RngStreams",
     "StatAccumulator",
     "Counter",
-    "Checkpoint",
     "CheckpointError",
     "CheckpointObserver",
     "capture_state",

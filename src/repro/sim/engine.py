@@ -354,9 +354,9 @@ class Simulator:
         """
         self._stop = True
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Run until the queue drains, :meth:`stop` is called, ``until``
-        ns is reached, or ``max_events`` have been dispatched.
+    def run(self, until: Optional[float] = None) -> None:
+        """Run until the queue drains, :meth:`stop` is called, or ``until``
+        ns is reached.
 
         When ``until`` is given, the clock is advanced to exactly ``until``
         even if the last event fires earlier, so time-weighted statistics
@@ -367,10 +367,10 @@ class Simulator:
         self._running = True
         self._stop = False
         try:
-            if until is None and max_events is None:
+            if until is None:
                 self._run_unbounded()
             else:
-                self._run_bounded(until, max_events)
+                self._run_until(until)
         finally:
             self._running = False
 
@@ -379,7 +379,7 @@ class Simulator:
         """The hot loop: drain the calendar with everything inlined.
 
         Mirrors :meth:`step` exactly; duplicated so the common
-        no-``until``/no-budget run pays no per-event method call.
+        no-``until`` run pays no per-event method call.
         """
         buckets = self._buckets
         times = self._times
@@ -425,21 +425,15 @@ class Simulator:
             if self._stop:
                 return
 
-    def _run_bounded(self, until: Optional[float], max_events: Optional[int]) -> None:
-        dispatched = 0
+    def _run_until(self, until: float) -> None:
         while True:
-            if max_events is not None and dispatched >= max_events:
-                break
             next_time = self.peek()
-            if next_time is None:
-                break
-            if until is not None and next_time > until:
+            if next_time is None or next_time > until:
                 break
             self.step()
-            dispatched += 1
             if self._stop:
                 break
-        if until is not None and self.now < until:
+        if self.now < until:
             self.now = until
 
     def peek(self) -> Optional[float]:
@@ -508,9 +502,8 @@ class Simulator:
         plus every other bucket, cancelled tombstones skipped), the
         overflow heap, the slab free-list capacity, and attached-observer
         bookkeeping by class name.  The pending events are *references*,
-        not copies — the snapshot is consumed either by the deep capture
-        in :mod:`repro.sim.checkpoint` (for digests) or by
-        :meth:`restore` on a fresh engine in the same process.
+        not copies: the snapshot is the canonical view of the calendar
+        that the state digests of :mod:`repro.sim.checkpoint` walk.
         """
         buckets: List[Tuple[float, List[ScheduledEvent]]] = []
         for time in sorted(self._buckets):
@@ -526,9 +519,8 @@ class Simulator:
             "horizon": self._horizon,
             "overflow_seq": self._overflow_seq,
             "buckets": buckets,
-            # Sorted (time, seq) is both canonical for digests (heap
-            # layout is an implementation detail) and a valid heap for
-            # ``restore``.
+            # Sorted (time, seq) is canonical for digests: heap layout
+            # is an implementation detail.
             "overflow": sorted(
                 (entry for entry in self._overflow if not entry[2].cancelled),
                 key=lambda entry: (entry[0], entry[1]),
@@ -536,40 +528,3 @@ class Simulator:
             "event_pool": len(self._event_pool),
             "observers": sorted(type(observer).__name__ for observer in self._observers),
         }
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Install a :meth:`snapshot` onto this engine (same process only).
-
-        The snapshot holds live event references, so restore transplants
-        pure engine state — clock, counters, calendar, overflow heap —
-        between simulators within one process; dispatch from the restored
-        engine is order-identical to continuing the snapshotted one.
-        Model state held behind the event callbacks is not copied (a full
-        simulation restore is replay-based; see
-        :mod:`repro.sim.checkpoint`).  The slab free-list is re-primed to
-        the recorded capacity with fresh blanks.
-        """
-        if self._running:
-            raise SimulationError("cannot restore into a running simulator")
-        self.now = float(state["now"])
-        self.events_dispatched = int(state["events_dispatched"])
-        self._horizon = float(state["horizon"])
-        self._overflow_seq = int(state["overflow_seq"])
-        self._buckets = {}
-        self._times = []
-        for time, events in state["buckets"]:
-            self._buckets[time] = list(events)
-            heappush(self._times, time)
-        # The captured overflow list is a heap-ordered prefix copy; the
-        # heap invariant survives element-preserving copies.
-        self._overflow = [tuple(entry) for entry in state["overflow"]]
-        self._active_bucket = None
-        self._active_time = 0.0
-        self._active_index = 0
-        pool: List[ScheduledEvent] = []
-        for _ in range(int(state["event_pool"])):
-            blank = ScheduledEvent(0.0, None, ())
-            blank.pooled = True
-            pool.append(blank)
-        self._event_pool = pool
-        self._stop = False

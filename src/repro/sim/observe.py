@@ -47,23 +47,3 @@ class SimObserver:
     def on_detach(self, sim: Any) -> None:
         """Called once when the observer is detached from ``sim``."""
 
-
-class CompositeObserver(SimObserver):
-    """Attach a bundle of observers as one unit.
-
-    ``sim.attach(CompositeObserver(a, b))`` is equivalent to attaching
-    ``a`` and ``b`` individually: the composite registers each child with
-    the simulator and contributes no hooks of its own, so hook binding
-    (and the hot loop's single branch) sees only the children.
-    """
-
-    def __init__(self, *observers: Any) -> None:
-        self.observers = tuple(observers)
-
-    def on_attach(self, sim: Any) -> None:
-        for observer in self.observers:
-            sim.attach(observer)
-
-    def on_detach(self, sim: Any) -> None:
-        for observer in self.observers:
-            sim.detach(observer)

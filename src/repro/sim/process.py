@@ -82,10 +82,6 @@ class Signal:
                 # semantics of the currently executing process.
                 schedule(0.0, process._resume_cb, value)
 
-    @property
-    def waiter_count(self) -> int:
-        return len(self._waiters)
-
     def _add_waiter(self, process: "Process") -> None:
         self._waiters.append(process)
 

@@ -10,7 +10,7 @@ configurations consume different amounts of device-latency randomness.
 from __future__ import annotations
 
 import zlib
-from typing import Any, Dict
+from typing import Dict
 
 import numpy as np
 
@@ -37,31 +37,3 @@ class RngStreams:
             generator = np.random.Generator(np.random.PCG64(seq))
             self._streams[name] = generator
         return generator
-
-    # ------------------------------------------------------------------
-    # checkpoint support
-    # ------------------------------------------------------------------
-    def snapshot(self) -> Dict[str, Any]:
-        """Capture every stream's bit-generator state (JSON-safe)."""
-        return {
-            "master_seed": self.master_seed,
-            "streams": {
-                name: generator.bit_generator.state
-                for name, generator in sorted(self._streams.items())
-            },
-        }
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Install stream states captured by :meth:`snapshot`.
-
-        Streams absent from the snapshot are untouched (they re-derive
-        from the master seed on first use, exactly as in the original
-        run, where they had not been created yet either).
-        """
-        if int(state["master_seed"]) != self.master_seed:
-            raise ValueError(
-                f"snapshot is for master seed {state['master_seed']:#x}, "
-                f"this factory uses {self.master_seed:#x}"
-            )
-        for name, bit_state in state["streams"].items():
-            self.stream(name).bit_generator.state = bit_state

@@ -1,18 +1,20 @@
-"""Checkpoint/restore: canonical capture, artifacts, and replay identity.
+"""Checkpoints: canonical capture, digest-verified replay, and resume.
 
-The heart of the suite is the fresh-process resume property test
-(satellite of the checkpoint PR): snapshot an arbitrary event boundary
-mid-run, restore it in a brand-new interpreter, run to completion, and
-require the *entire final machine state* — the full canonical state
-digest, plus kernel counters and device tallies — to be byte-identical
-to the uninterrupted run.  All four paging paths are covered (osdp,
-swdp, hwdp, and hwdp forced onto its queue-empty fallback route), each
-with an active fault plan, so replay determinism is proven under
-injected storage errors, not just on the happy path.
+The heart of the suite is the fresh-process resume property test: record
+boundary digests during an uninterrupted run, then replay the run in a
+brand-new interpreter the way ``--resume`` does — a
+:class:`CheckpointObserver` carrying the recorded digests as ``expect``
+values — and require every recorded boundary to verify and the *entire
+final machine state* — the full canonical state digest, plus kernel
+counters and device tallies — to be byte-identical to the uninterrupted
+run.  All four paging paths are covered (osdp, swdp, hwdp, and hwdp
+forced onto its queue-empty fallback route), each with an active fault
+plan, so replay determinism is proven under injected storage errors, not
+just on the happy path.
 
-When executed as a script (``python -m tests.test_checkpoint <path>
-<events> <digest>``) the module becomes the fresh-process resume driver
-the property test forks.
+When executed as a script (``python -m tests.test_checkpoint``, with a
+JSON ``{"path", "interval", "expect"}`` request on stdin) the module
+becomes the fresh-process resume runner the property test forks.
 """
 
 from __future__ import annotations
@@ -31,16 +33,10 @@ from hypothesis import strategies as st
 from repro.config import PagingMode
 from repro.mem.address import PAGE_SHIFT
 from repro.sim.checkpoint import (
-    CHECKPOINT_SCHEMA,
-    Checkpoint,
     CheckpointError,
     CheckpointObserver,
     canonical_json,
     capture_state,
-    load_checkpoint,
-    restore,
-    save_checkpoint,
-    snapshot_system,
     state_digest,
 )
 from repro.experiments.engine import execute, scale_to_dict
@@ -103,47 +99,43 @@ def _summarize(system) -> str:
     )
 
 
-def run_uninterrupted(path: str, interval: int):
-    """Baseline leg: run to completion with a checkpointing observer.
+def _run_to_completion(path: str, interval: int, expect=None):
+    """Build the scenario with a checkpoint observer attached, run the
+    workload to completion plus the fixed drain, and summarize.
 
-    Returns ``(records, summary)`` where records are the mid-run
-    (pre-completion) boundary digests and summary the canonical end state.
+    Returns ``(observer, summary)``; with ``expect`` the observer verifies
+    each recomputed boundary digest against it, exactly as ``--resume``
+    does for a journaled cell.
     """
     system, proc = build_scenario(path)
-    observer = CheckpointObserver(system, interval=interval)
+    observer = CheckpointObserver(system, interval=interval, expect=expect)
     sim = system.sim
     sim.attach(observer)
     while not proc.finished:
         if not sim.step():
-            raise RuntimeError("baseline workload stalled")
-    finish_events = sim.events_dispatched
+            raise RuntimeError("workload stalled")
     sim.run(until=sim.now + _DRAIN_NS)
     sim.detach(observer)
-    records = [r for r in observer.records if r["events"] < finish_events]
-    return records, _summarize(system)
+    return observer, _summarize(system)
 
 
-def resume_from(path: str, events: int, digest: str) -> str:
-    """Resume leg: rebuild, replay to the boundary (digest-verified inside
-    the boundary event's dispatch hook), run to completion, summarize."""
-    holder = {}
+def run_uninterrupted(path: str, interval: int):
+    """Baseline leg: returns ``(records, summary)`` — every boundary
+    digest the run recorded, and the canonical end state."""
+    observer, summary = _run_to_completion(path, interval)
+    return observer.records, summary
 
-    def rebuild(recipe):
-        system, proc = build_scenario(recipe["path"])
-        holder["proc"] = proc
-        return system
 
-    checkpoint = Checkpoint(
-        recipe={"path": path}, events=events, sim_time=0.0, digest=digest
-    )
-    system = restore(checkpoint, rebuild)
-    proc = holder["proc"]
-    sim = system.sim
-    while not proc.finished:
-        if not sim.step():
-            raise RuntimeError("resumed workload stalled")
-    sim.run(until=sim.now + _DRAIN_NS)
-    return _summarize(system)
+def resume_from(path: str, interval: int, expect):
+    """Resume leg: replay from a fresh build with ``expect`` (event count ->
+    recorded digest) verified at each boundary; returns ``(summary,
+    verified)``.  A diverging digest raises :class:`CheckpointError`."""
+    observer, summary = _run_to_completion(path, interval, expect)
+    return summary, observer.verified
+
+
+def _expect(records):
+    return {record["events"]: record["digest"] for record in records}
 
 
 # ----------------------------------------------------------------------
@@ -203,45 +195,6 @@ class TestCapture:
 
 
 # ----------------------------------------------------------------------
-# checkpoint artifacts
-# ----------------------------------------------------------------------
-class TestArtifact:
-    def _checkpoint(self):
-        return Checkpoint(
-            recipe={"experiment": "x", "cell": {"a": 1}},
-            events=1234,
-            sim_time=5.5,
-            digest="ab" * 32,
-        )
-
-    def test_json_round_trip(self):
-        original = self._checkpoint()
-        clone = Checkpoint.from_json(original.to_json())
-        assert clone == original
-        assert clone.content_key() == original.content_key()
-
-    def test_schema_mismatch_rejected(self):
-        data = self._checkpoint().to_json()
-        data["schema"] = CHECKPOINT_SCHEMA + 1
-        with pytest.raises(CheckpointError):
-            Checkpoint.from_json(data)
-
-    def test_save_load_round_trip(self, tmp_path):
-        original = self._checkpoint()
-        path = save_checkpoint(original, tmp_path)
-        assert original.content_key() in path.name
-        assert load_checkpoint(path) == original
-
-    def test_load_garbage_raises(self, tmp_path):
-        path = tmp_path / "junk.json"
-        path.write_text("{not json")
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path)
-        with pytest.raises(CheckpointError):
-            load_checkpoint(tmp_path / "missing.json")
-
-
-# ----------------------------------------------------------------------
 # the observer
 # ----------------------------------------------------------------------
 class TestObserver:
@@ -276,78 +229,56 @@ class TestObserver:
 
 
 # ----------------------------------------------------------------------
-# restore
+# in-process resume
 # ----------------------------------------------------------------------
 class TestRestore:
-    def test_quiescent_checkpoints_not_restorable(self):
-        system, _ = build_scenario("osdp")
-        checkpoint = snapshot_system(system, {"path": "osdp"})
-        assert checkpoint.boundary == "quiescent"
-        with pytest.raises(CheckpointError, match="quiescent"):
-            restore(checkpoint, lambda recipe: system)
+    """Restoring a run by digest-verified replay, in this process."""
 
     def test_in_process_resume_is_byte_identical(self):
         records, summary = run_uninterrupted("osdp", interval=300)
         assert records, "scenario too short for the checkpoint interval"
-        record = records[len(records) // 2]
-        resumed = resume_from("osdp", record["events"], record["digest"])
+        kept = records[: len(records) // 2 + 1]
+        resumed, verified = resume_from("osdp", 300, _expect(kept))
         assert resumed == summary
+        assert verified == len(kept)
 
     def test_tampered_digest_rejected(self):
         records, _ = run_uninterrupted("osdp", interval=300)
-        record = records[0]
-        with pytest.raises(CheckpointError, match="diverged"):
-            resume_from("osdp", record["events"], "0" * 64)
-
-    def test_rebuild_past_boundary_rejected(self):
-        records, _ = run_uninterrupted("osdp", interval=300)
-        record = records[0]
-
-        def rebuild(recipe):
-            system, proc = build_scenario("osdp")
-            while not proc.finished:
-                system.sim.step()
-            return system
-
-        checkpoint = Checkpoint(
-            recipe={"path": "osdp"},
-            events=record["events"],
-            sim_time=0.0,
-            digest=record["digest"],
-        )
-        with pytest.raises(CheckpointError, match="at or past the boundary"):
-            restore(checkpoint, rebuild)
+        expect = _expect(records)
+        expect[records[0]["events"]] = "0" * 64
+        with pytest.raises(CheckpointError, match=f"diverged at event {records[0]['events']}"):
+            resume_from("osdp", 300, expect)
 
 
 # ----------------------------------------------------------------------
 # the fresh-process resume property
 # ----------------------------------------------------------------------
-def _fresh_process_resume(path: str, events: int, digest: str) -> str:
+def _fresh_process_resume(path: str, interval: int, records):
+    """Replay ``path`` in a new interpreter against ``records``; returns
+    the child's ``(summary, verified)``."""
     env = dict(os.environ)
     src = str(_REPO_ROOT / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, str(_REPO_ROOT), env.get("PYTHONPATH")) if p
     )
+    request = {"path": path, "interval": interval, "expect": [
+        [record["events"], record["digest"]] for record in records
+    ]}
     result = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "tests.test_checkpoint",
-            path,
-            str(events),
-            digest,
-        ],
+        [sys.executable, "-m", "tests.test_checkpoint"],
         cwd=_REPO_ROOT,
         env=env,
+        input=json.dumps(request),
         capture_output=True,
         text=True,
         check=True,
     )
-    return result.stdout.strip()
+    summary, verified = result.stdout.strip().split("\n")
+    return summary, int(verified)
 
 
 class TestFreshProcessResume:
-    """Snapshot at an arbitrary boundary, resume in a new interpreter."""
+    """Record boundary digests, replay them in a new interpreter."""
 
     @given(
         path=st.sampled_from(sorted(PATHS)),
@@ -356,23 +287,24 @@ class TestFreshProcessResume:
     )
     @settings(max_examples=8, deadline=None)
     def test_resume_completion_byte_identical(self, path, interval, pick):
+        # A run killed after ``kept`` boundaries journaled exactly those.
         records, summary = run_uninterrupted(path, interval)
         assume(records)
-        record = records[pick % len(records)]
-        resumed = _fresh_process_resume(path, record["events"], record["digest"])
+        kept = records[: pick % len(records) + 1]
+        resumed, verified = _fresh_process_resume(path, interval, kept)
         assert resumed == summary
+        assert verified == len(kept)
 
     def test_every_path_resumes(self):
-        # Deterministic sweep: one mid-run boundary per paging path, so a
-        # path-specific regression cannot hide behind hypothesis sampling.
+        # Deterministic sweep: every recorded boundary of every paging
+        # path, so a path-specific regression cannot hide behind
+        # hypothesis sampling.
         for path in sorted(PATHS):
             records, summary = run_uninterrupted(path, interval=250)
             assert records, f"{path}: scenario too short"
-            record = records[-1]
-            resumed = _fresh_process_resume(
-                path, record["events"], record["digest"]
-            )
+            resumed, verified = _fresh_process_resume(path, 250, records)
             assert resumed == summary, f"{path}: resumed run diverged"
+            assert verified == len(records), f"{path}: boundaries left unverified"
 
 
 # ----------------------------------------------------------------------
@@ -407,27 +339,73 @@ class TestEngineCheckpointing:
             assert record.checkpoints, "no checkpoint journaled for a real cell"
             assert all(cp["events"] % self.INTERVAL == 0 for cp in record.checkpoints)
 
-    def test_tampered_digest_fails_only_its_cell(self, tmp_path):
+    def test_resume_journals_each_boundary_once(self, tmp_path):
+        _, state = self._journaled_run(tmp_path, "ckpt")
+        recorded = {
+            ("fig11", key): record.checkpoints for key, record in state.cells["fig11"].items()
+        }
+        journal = RunJournal.attach("ckpt", tmp_path)
+        report = execute(
+            ["fig11"], QUICK, journal=journal, checkpoint_interval=self.INTERVAL,
+            resume_checkpoints=recorded, raise_on_failure=False,
+        )
+        journal.close()
+        assert report.failures == []
+        assert report.computed == 2
+        resumed = load_state(tmp_path / "ckpt")
+        for key, record in resumed.cells["fig11"].items():
+            assert record.checkpoints == state.cells["fig11"][key].checkpoints
+
+    def _recorded(self, tmp_path):
+        """The original run's checkpoint records, and its first cell's key."""
         _, state = self._journaled_run(tmp_path, "original")
         recorded = {
             ("fig11", key): [dict(cp) for cp in record.checkpoints]
             for key, record in state.cells["fig11"].items()
         }
-        victim_key = next(iter(state.cells["fig11"]))
-        victim = recorded[("fig11", victim_key)][1]
-        victim["digest"] = "0" * 64
+        return recorded, next(iter(state.cells["fig11"]))
 
+    def _only_failure(self, tmp_path, recorded, victim_key):
+        """Resume against ``recorded``; exactly ``victim_key`` must fail."""
         report, _ = self._journaled_run(tmp_path, "resumed", resume_checkpoints=recorded)
         assert len(report.failures) == 1
         failure = report.failures[0]
         assert failure.key == victim_key
         assert failure.kind == "exception"
         assert "CheckpointError" in failure.error
-        assert f"diverged at event {victim['events']}" in failure.error
         assert report.computed == 1, "the untampered cell still verified and ran"
+        return failure.error
+
+    def test_tampered_digest_fails_only_its_cell(self, tmp_path):
+        recorded, victim_key = self._recorded(tmp_path)
+        victim = recorded[("fig11", victim_key)][1]
+        victim["digest"] = "0" * 64
+        error = self._only_failure(tmp_path, recorded, victim_key)
+        assert f"diverged at event {victim['events']}" in error
+
+    def test_boundary_past_the_end_fails_only_its_cell(self, tmp_path):
+        recorded, victim_key = self._recorded(tmp_path)
+        records = recorded[("fig11", victim_key)]
+        past_end = records[-1]["events"] + 1000 * self.INTERVAL
+        records.append(dict(records[-1], events=past_end))
+        error = self._only_failure(tmp_path, recorded, victim_key)
+        assert f"never reached the recorded checkpoint at event {past_end} of simulator 0" in error
+
+    def test_unbuilt_simulator_fails_only_its_cell(self, tmp_path):
+        recorded, victim_key = self._recorded(tmp_path)
+        records = recorded[("fig11", victim_key)]
+        records.append(dict(records[0], sim=7))
+        error = self._only_failure(tmp_path, recorded, victim_key)
+        assert (f"never reached the recorded checkpoint at event {records[0]['events']} "
+                "of simulator 7") in error
 
 
 if __name__ == "__main__":
-    # Fresh-process resume driver (see TestFreshProcessResume).
-    _path, _events, _digest = sys.argv[1], int(sys.argv[2]), sys.argv[3]
-    print(resume_from(_path, _events, _digest))
+    # Fresh-process resume runner (see TestFreshProcessResume).
+    _request = json.load(sys.stdin)
+    _summary, _verified = resume_from(
+        _request["path"], _request["interval"],
+        {int(events): digest for events, digest in _request["expect"]},
+    )
+    print(_summary)
+    print(_verified)

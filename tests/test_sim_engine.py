@@ -113,15 +113,6 @@ def test_run_until_stops_and_advances_clock():
     assert fired == ["early", "late"]
 
 
-def test_run_max_events():
-    sim = Simulator()
-    fired = []
-    for i in range(10):
-        sim.schedule(float(i), fired.append, i)
-    sim.run(max_events=3)
-    assert fired == [0, 1, 2]
-
-
 def test_peek_skips_cancelled():
     sim = Simulator()
     handle = sim.schedule(5.0, lambda: None)

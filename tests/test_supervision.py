@@ -388,3 +388,25 @@ def test_cli_resume_refuses_unknown_run(tmp_path):
     )
     assert result.returncode == 2
     assert "ghost" in result.stderr
+
+
+def test_cli_resume_of_checkpointed_run_refuses_observation(tmp_path):
+    # The resumed run inherits the journal's --checkpoint-interval, so
+    # observing it is the same usage error as passing both flags.
+    env = _cli_env(tmp_path)
+    first = subprocess.run(
+        [sys.executable, "-m", "repro.experiments", "--only", "fig11",
+         "--checkpoint-interval", "500", "--run-id", "ckpt"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert first.returncode == 0, first.stderr
+    journal = tmp_path / "runs" / "ckpt" / "journal.jsonl"
+    recorded = journal.read_bytes()
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.experiments", "--resume", "ckpt",
+         "--metrics", str(tmp_path / "metrics.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 2, result.stderr
+    assert "--checkpoint-interval" in result.stderr
+    assert journal.read_bytes() == recorded, "a refused resume must not touch the journal"

@@ -10,16 +10,19 @@ warm cell only matches its cold twin if every cell forks from a pristine
 prefix image.
 """
 
+import json
 import os
 import time
 from pathlib import Path
 
 import pytest
 
+from repro.experiments.cache import CellCache
 from repro.experiments.engine import SupervisorConfig, cell_key, execute, scale_to_dict
 from repro.experiments.journal import RunJournal, load_state
 from repro.experiments.registry import Cell, ExperimentSpec, WarmupSpec
 from repro.experiments.runner import QUICK, ExperimentResult
+from repro.sim import Simulator
 
 CELLS = 6
 
@@ -33,8 +36,23 @@ def _merge(scale, payloads):
     )
 
 
-def _warm_spec(name, marker, on_finish=None):
-    """Cells (g, x) for g in 0..1, x in 0..2; the warmup depends on g only."""
+class _WarmedSystem:
+    """The ``system`` a prefix context hands the engine to digest: a
+    simulator that has dispatched ``events`` events."""
+
+    def __init__(self, events):
+        self.sim = Simulator()
+        for index in range(events):
+            self.sim.schedule(float(index), lambda: None)
+        self.sim.run()
+
+
+def _warm_spec(name, marker, on_finish=None, with_system=False):
+    """Cells (g, x) for g in 0..1, x in 0..2; the warmup depends on g only.
+
+    ``with_system`` puts a simulated system in the prefix context, which
+    the engine digests when the run has a cache.
+    """
 
     def group(params):
         return {"g": params["g"]}
@@ -42,7 +60,10 @@ def _warm_spec(name, marker, on_finish=None):
     def prefix(scale, group_params):
         with open(marker, "a") as handle:
             handle.write(f"{group_params['g']}\n")
-        return {"base": 100 * group_params["g"]}
+        ctx = {"base": 100 * group_params["g"]}
+        if with_system:
+            ctx["system"] = _WarmedSystem(3 + group_params["g"])
+        return ctx
 
     def finish(scale, params, ctx):
         if on_finish is not None:
@@ -161,3 +182,48 @@ def test_timed_out_leader_is_killed_with_its_grandchild(tmp_path):
     states = [s for s, _ in record.transitions]
     assert "timeout" in states
     assert states[-1] == "done"
+
+
+def test_prefix_digest_is_recorded_and_divergence_reported(tmp_path, capsys):
+    cache = CellCache(tmp_path / "cache")
+    spec = _warm_spec("warm-digest", tmp_path / "prefix.log", with_system=True)
+    execute([spec], QUICK, cache=cache)
+    spec_dir = tmp_path / "cache" / spec.name
+    artifacts = sorted(spec_dir.glob("prefix-*.json"))
+    assert len(artifacts) == 2, "one prefix artifact per group"
+    entries = [json.loads(path.read_text()) for path in artifacts]
+    assert sorted(entry["events"] for entry in entries) == [3, 4]
+    assert all(len(entry["digest"]) == 64 for entry in entries)
+
+    # Tamper one recorded digest and drop the cached cells, so the next
+    # run simulates both prefixes again and checks them.
+    artifacts[0].write_text(json.dumps(dict(entries[0], digest="0" * 64)))
+    for path in spec_dir.glob("*.json"):
+        if not path.name.startswith("prefix-"):
+            path.unlink()
+    journal = RunJournal.create(
+        scale=scale_to_dict(QUICK), jobs=1, specs=[spec.name], run_id="diverge", root=tmp_path,
+    )
+    capsys.readouterr()
+    report = execute([spec], QUICK, cache=cache, journal=journal)
+    journal.close()
+    assert report.supervision["warm_cells"] == CELLS
+    assert capsys.readouterr().err.count("diverged from the recorded digest") == 1
+    notes = [note for note in load_state(tmp_path / "diverge").notes
+             if note["name"] == "warm_prefix_divergence"]
+    assert len(notes) == 1
+    assert notes[0]["recorded"] == "0" * 64
+    assert notes[0]["observed"] == entries[0]["digest"]
+    assert json.loads(artifacts[0].read_text())["digest"] == entries[0]["digest"]
+
+
+def test_no_cache_computes_no_prefix_digest(tmp_path, monkeypatch):
+    def refuse(root):
+        raise AssertionError("prefix digest computed with no cache to record it")
+
+    monkeypatch.setattr("repro.sim.checkpoint.state_digest", refuse)
+    marker = tmp_path / "prefix.log"
+    report = execute([_warm_spec("warm-no-digest", marker, with_system=True)], QUICK)
+    assert report.supervision["warm_cells"] == CELLS, "every cell came from its warm group"
+    assert _prefix_calls(marker) == 2
+    assert report.results[0].to_text() == _cold_text(tmp_path)
